@@ -20,9 +20,8 @@ from .kernel import (BoundReport, KernelBoundError, KernelModel, ParamError,
                      ProblemParams, build_model, compute_c, kernel_eval,
                      phi_eval, validate_params, verify_kernel_bounds)
 from .problem import Options, Problem
-from .quadrature import (ConstantsReport, QuadratureSpec, ToleranceNotReached,
-                         compute_constants, compute_hat_constants, compute_M,
-                         compute_m, find_sign_crossings, integrate_piecewise)
+from .quadrature import (ConstantsReport, compute_constants, compute_hat_constants,
+                         compute_M, compute_m)
 from .solver import (ConeReport, GridSolution, SystemGrid, apply_T, build_grid,
                      cone_metrics, interpolate_nodes, solve_picard)
 from .specialfn import GammaDomainError, gamma
@@ -52,9 +51,7 @@ __all__ = [
     "ParamError",
     "Problem",
     "ProblemParams",
-    "QuadratureSpec",
     "SystemGrid",
-    "ToleranceNotReached",
     "apply_T",
     "box_inf",
     "box_sup",
@@ -73,9 +70,7 @@ __all__ = [
     "cone_metrics",
     "eval_expr",
     "eval_expr_array",
-    "find_sign_crossings",
     "gamma",
-    "integrate_piecewise",
     "interpolate_nodes",
     "kernel_eval",
     "parse",

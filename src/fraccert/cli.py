@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .kernel import (KernelBoundError, ParamError, ProblemParams, check_params,
                      default_interval_end, kernel_values, phi_values,
                      validate_params)
 from .problem import Options, Problem
-from .quadrature import QuadratureSpec, ToleranceNotReached
 from .solver import build_grid, cone_metrics, interpolate_nodes, solve_picard
 
 __all__ = [
@@ -129,17 +129,6 @@ def _schema_scan(raw) -> list[str]:
         errs.append("/options/conservative: must be a boolean")
     if "margin" in opts and not _is_num(opts["margin"]):
         errs.append("/options/margin: must be a finite number")
-    quad = opts.get("quadrature", {})
-    if not isinstance(quad, dict):
-        errs.append("/options/quadrature: must be an object")
-    else:
-        for key in sorted(set(quad) - {"panel_order", "abs_tol", "max_panels"}):
-            errs.append(f"/options/quadrature/{key}: unknown key")
-        for key in ("panel_order", "max_panels"):
-            if key in quad and not (isinstance(quad[key], int) and not isinstance(quad[key], bool)):
-                errs.append(f"/options/quadrature/{key}: must be an integer")
-        if "abs_tol" in quad and not _is_num(quad["abs_tol"]):
-            errs.append("/options/quadrature/abs_tol: must be a finite number")
     lip = opts.get("lipschitz")
     if lip is not None:
         if not isinstance(lip, dict):
@@ -162,6 +151,8 @@ def load_config(path) -> ProblemConfig:
     structure is sound, every semantic problem -- parameter inequalities
     and expression syntax -- is likewise aggregated (ValidationError).
     Both carry JSON-pointer paths. I/O problems propagate as OSError.
+    The deprecated ``options.quadrature`` is accepted and ignored with a
+    FutureWarning.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -197,16 +188,9 @@ def load_config(path) -> ProblemConfig:
             sem.append(f"/nonlinearities/{key}: {exc}")
         f_text.append(text_i)
     opts_raw = raw.get("options", {})
-    quad_raw = opts_raw.get("quadrature", {})
-    quadrature = None
-    try:
-        quadrature = QuadratureSpec(
-            panel_order=quad_raw.get("panel_order", 16),
-            abs_tol=float(quad_raw.get("abs_tol", 1e-10)),
-            max_panels=quad_raw.get("max_panels", 4096),
-        )
-    except ValueError as exc:
-        sem.append(f"/options/quadrature: {exc}")
+    if "quadrature" in opts_raw:
+        warnings.warn("/options/quadrature is deprecated and ignored: the threshold "
+                      "constants are computed in closed form", FutureWarning, stacklevel=2)
     lip_raw = opts_raw.get("lipschitz")
     lipschitz = None
     if lip_raw is not None:
@@ -222,7 +206,7 @@ def load_config(path) -> ProblemConfig:
         raise ValidationError(sem)
     options = Options(
         conservative=bool(opts_raw.get("conservative", True)),
-        margin=margin, quadrature=quadrature, lipschitz=lipschitz,
+        margin=margin, lipschitz=lipschitz,
     )
     return ProblemConfig(params=(params[0], params[1]),
                          f_text=(f_text[0], f_text[1]), options=options)
@@ -520,7 +504,7 @@ def _solution_csv(grid, u: np.ndarray, v: np.ndarray) -> str:
 
 def _cmd_solve(args) -> int:
     problem = load_config(args.config).to_problem(with_constants=False)
-    grid = build_grid(problem.models, args.grid, problem.options.quadrature)
+    grid = build_grid(problem.models, args.grid)
     init = _parse_init(args.init, grid)
     sol = solve_picard(grid, problem.f[0], problem.f[1], init=init,
                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
@@ -652,7 +636,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"  {msg}\n")
         return 1
     except (ParamError, KernelBoundError, ExprError, EvalError, LadderOrderViolation,
-            ToleranceNotReached, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

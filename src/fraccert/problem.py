@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from .exprlang import Expr, parse
 from .kernel import KernelModel, ProblemParams, build_model
-from .quadrature import ConstantsReport, QuadratureSpec, compute_constants
+from .quadrature import ConstantsReport, compute_constants
 
 __all__ = ["Options", "Problem"]
 
@@ -25,7 +25,6 @@ class Options:
 
     conservative: bool = True
     margin: float = 1e-9
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     lipschitz: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -54,10 +53,7 @@ class Problem:
         exprs = (parse(f_text[0]), parse(f_text[1]))
         constants = None
         if with_constants:
-            constants = (
-                compute_constants(models[0], options.quadrature),
-                compute_constants(models[1], options.quadrature),
-            )
+            constants = (compute_constants(models[0]), compute_constants(models[1]))
         return cls(models=models, f=exprs, f_text=tuple(f_text), options=options,
                    constants=constants)
 

@@ -1,36 +1,40 @@
-"""Composite Gauss-Legendre quadrature and the kernel threshold constants.
+"""Threshold constants of the index conditions, from closed forms.
 
-The kernel k(t, s) is smooth in s away from the breakpoints s = eta and
-s = t, where its derivative blows up like (distance)^(alpha-2) for
-alpha < 2. Panels are therefore split at every breakpoint and graded
-dyadically toward them; plain uniform panels handle smooth stretches.
-
-The thresholds of the index conditions are
+The thresholds are
 
     1/m = sup_{t in [0,1]}  int_0^1 |k(t, s)| ds,
     1/M = inf_{t in [0,b]}  int_0^b  k(t, s) ds,
 
-with the closed-form estimates
+with the envelope estimates
 
     1/m_hat = int_0^1 Phi(s) ds,      1/M_hat = int_0^b c * Phi(s) ds,
 
 which always satisfy m >= m_hat and M <= M_hat.
+
+The kernel is a constant plus two power functions, so each integral has
+an exact antiderivative. With G = Gamma(alpha + 1),
+
+    K(s) = beta*s - (eta - s)_+^alpha / G + (t - s)_+^alpha / G
+
+is continuous with K' = k(t, .), and k(t, .) keeps its sign between its
+sign crossings. k(., s) is nonincreasing in t, so the infimum defining M
+sits at t = b; the supremum defining m is located numerically on a grid
+of t values and refined by golden-section search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelModel, kernel_values, phi_values
+from .kernel import KernelModel, ProblemParams
+from .specialfn import gamma
 
 __all__ = [
-    "QuadratureSpec",
-    "ToleranceNotReached",
-    "integrate_piecewise",
-    "find_sign_crossings",
+    "row_crossings",
+    "abs_row_integral",
     "compute_m",
     "compute_M",
     "compute_hat_constants",
@@ -38,197 +42,56 @@ __all__ = [
     "compute_constants",
 ]
 
+# t values of the grid that brackets the supremum defining m
+_T_POINTS = 513
 
-class ToleranceNotReached(RuntimeError):
-    """Panel budget exhausted before the requested absolute tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel order, absolute tolerance and panel budget of the scheme."""
-
-    panel_order: int = 16
-    abs_tol: float = 1e-10
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if self.panel_order < 2:
-            raise ValueError(f"panel_order must be >= 2, got {self.panel_order}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_panels < 4:
-            raise ValueError(f"max_panels must be >= 4, got {self.max_panels}")
+# width at which the bisection for a crossing in (0, eta) stops; it is
+# above the float spacing on (0, 1), so the halving always makes progress
+_XTOL = 1e-15
 
 
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def row_crossings(p: ProblemParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Sign crossings of k(t, .) on (0, eta) and on (eta, t), NaN where absent.
 
-
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _gauss_cache:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _gauss_cache[order] = (0.5 * (x + 1.0), 0.5 * w)  # mapped to [0, 1]
-    return _gauss_cache[order]
-
-
-def _graded_edges(lo: float, hi: float, grade_lo: bool, grade_hi: bool, depth: int) -> np.ndarray:
-    """Panel edges on [lo, hi], dyadically refined toward graded endpoints."""
-    w = hi - lo
-    if grade_lo and grade_hi:
-        left = lo + 0.5 * w * 2.0 ** -np.arange(depth, -1.0, -1.0)
-        right = hi - 0.5 * w * 2.0 ** -np.arange(1.0, depth + 1.0)
-        edges = np.concatenate(([lo], left, right, [hi]))
-    elif grade_lo:
-        edges = np.concatenate(([lo], lo + w * 2.0 ** -np.arange(depth, -1.0, -1.0)))
-    elif grade_hi:
-        edges = np.concatenate(([lo], hi - w * 2.0 ** -np.arange(1.0, depth + 1.0), [hi]))
-    else:
-        n = 1 << max(0, (depth - 4) // 2)
-        edges = np.linspace(lo, hi, n + 1)
-    edges[0], edges[-1] = lo, hi
-    return edges
-
-
-def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """All Gauss nodes and weights for the panels delimited by ``edges``."""
-    x, w = _gauss(order)
-    a = edges[:-1][:, None]
-    h = np.diff(edges)[:, None]
-    nodes = (a + h * x[None, :]).ravel()
-    weights = (h * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _eval_vec(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop if needed."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
-
-
-def _segments(breakpoints, interval: tuple[float, float]) -> list[tuple[float, float, bool, bool]]:
-    """Split the interval at interior breakpoints; mark graded segment ends.
-
-    A segment end is graded when it coincides with a listed breakpoint or
-    with an interval endpoint (robust default: grading toward a smooth
-    endpoint costs a handful of panels and protects against integrands
-    with endpoint derivative singularities).
+    k(t, .) is positive for t <= eta. For t > eta it decreases on [0, eta],
+    increases on [eta, t] and equals beta on [t, 1], so each side of its
+    minimum k(t, eta) holds at most one crossing. The crossing on (eta, t)
+    solves beta = (t - s)^(alpha-1)/Gamma(alpha) exactly; the one on
+    (0, eta) is found by bisection over the whole t-array at once.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ValueError(f"empty integration interval {interval!r}")
-    pts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < float(b) < hi)})
-    return [(a, b, True, True) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-15]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    g = gamma(p.alpha)
+    e = p.alpha - 1.0
+    width = (p.beta * g) ** (1.0 / e)
+    hi = np.where(t - p.eta > width, t - width, np.nan)
+    # the (0, eta) crossing needs k(t, 0) > 0 > k(t, eta)
+    need = ~np.isnan(hi) & (p.beta + (p.eta ** e - t ** e) / g > 0.0)
+    tt = t[need]
+    a = np.zeros_like(tt)
+    b = np.full_like(tt, p.eta)
+    while np.any(b - a > _XTOL):
+        mid = 0.5 * (a + b)
+        pos = p.beta + ((p.eta - mid) ** e - (tt - mid) ** e) / g > 0.0
+        a = np.where(pos, mid, a)
+        b = np.where(pos, b, mid)
+    lo = np.full(t.shape, np.nan)
+    lo[need] = 0.5 * (a + b)
+    return lo, hi
 
 
-def integrate_piecewise(f, breakpoints=(), spec: QuadratureSpec = QuadratureSpec(),
-                        interval: tuple[float, float] = (0.0, 1.0)) -> float:
-    """Integrate f over ``interval`` with panels split at ``breakpoints``.
+def abs_row_integral(p: ProblemParams, t) -> np.ndarray:
+    """R(t) = int_0^1 |k(t, s)| ds as sum_j |K(z_{j+1}) - K(z_j)|.
 
-    f may be a scalar callable or accept numpy arrays. Panels are graded
-    dyadically toward breakpoints and interval ends; each segment is
-    refined until two consecutive refinement levels agree within its share
-    of ``spec.abs_tol``. Raises ToleranceNotReached when ``spec.max_panels``
-    is exhausted first.
+    The z_j are 0, the sign crossings of k(t, .) and 1; an absent crossing
+    collapses onto s = 0 and adds nothing.
     """
-    segs = _segments(breakpoints, interval)
-    share = spec.abs_tol / len(segs)
-    total = 0.0
-    budget = spec.max_panels
-    for lo, hi, glo, ghi in segs:
-        depth = 6
-        edges = _graded_edges(lo, hi, glo, ghi, depth)
-        nodes, weights = _panel_nodes(edges, spec.panel_order)
-        prev = float(np.dot(weights, _eval_vec(f, nodes)))
-        budget -= len(edges) - 1
-        while True:
-            depth += 2
-            edges = _graded_edges(lo, hi, glo, ghi, depth)
-            budget -= len(edges) - 1
-            if budget < 0:
-                raise ToleranceNotReached(
-                    f"segment [{lo:g}, {hi:g}]: panel budget {spec.max_panels} exhausted "
-                    f"(last refinement change {abs(prev):.3e} vs tolerance share {share:.3e})"
-                )
-            nodes, weights = _panel_nodes(edges, spec.panel_order)
-            cur = float(np.dot(weights, _eval_vec(f, nodes)))
-            if abs(cur - prev) <= share:
-                total += cur
-                break
-            prev = cur
-    return total
-
-
-def find_sign_crossings(g, breakpoints, interval=(0.0, 1.0), samples: int = 64,
-                        xtol: float = 1e-12) -> list[float]:
-    """Locate sign changes of g on each smooth piece by bisection.
-
-    The pieces are delimited by ``breakpoints``; g is sampled on each piece
-    and every bracketed sign change is refined to ``xtol``.
-    """
-    lo, hi = interval
-    pts = sorted({float(lo), float(hi), *(float(b) for b in breakpoints if lo < float(b) < hi)})
-    crossings: list[float] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 1e-14:
-            continue
-        xs = np.linspace(a, b, samples)
-        ys = _eval_vec(g, xs)
-        sign = np.sign(ys)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            x0, x1 = float(xs[i]), float(xs[i + 1])
-            y0 = float(ys[i])
-            while x1 - x0 > xtol:
-                xm = 0.5 * (x0 + x1)
-                ym = float(g(xm))
-                if ym == 0.0:
-                    x0 = x1 = xm
-                    break
-                if (y0 > 0) == (ym > 0):
-                    x0, y0 = xm, ym
-                else:
-                    x1 = xm
-            crossings.append(0.5 * (x0 + x1))
-    return crossings
-
-
-# fixed grading depth used for the per-t kernel integrals inside the
-# sup/inf scans; 26 dyadic levels resolve the (distance)^(alpha-1)
-# endpoint behaviour to well below 1e-12 for alpha > 1
-_SCAN_DEPTH = 26
-
-
-def _kernel_integral_panels(p, t: float, extra, interval) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = interval
-    pts = sorted({lo, hi, *(x for x in (p.eta, t, *extra) if lo < x < hi)})
-    all_nodes = []
-    all_weights = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 1e-15:
-            continue
-        edges = _graded_edges(a, b, True, True, _SCAN_DEPTH)
-        nodes, weights = _panel_nodes(edges, 16)
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
-
-
-def _abs_kernel_integral(model: KernelModel, t: float) -> float:
-    """int_0^1 |k(t, s)| ds with |.|-kinks located by bisection."""
-    p = model.params
-    crossings = find_sign_crossings(lambda s: kernel_values(p, t, s), (p.eta, t))
-    nodes, weights = _kernel_integral_panels(p, t, crossings, (0.0, 1.0))
-    return float(np.dot(weights, np.abs(kernel_values(p, t, nodes))))
-
-
-def _kernel_integral_on_b(model: KernelModel, t: float) -> float:
-    """int_0^b k(t, s) ds (positive on the cone interval)."""
-    p = model.params
-    nodes, weights = _kernel_integral_panels(p, t, (), (0.0, p.b))
-    return float(np.dot(weights, kernel_values(p, t, nodes)))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    G = gamma(p.alpha + 1.0)
+    lo, hi = row_crossings(p, t)
+    z = np.stack((np.zeros_like(t), np.nan_to_num(lo), np.nan_to_num(hi), np.ones_like(t)), axis=1)
+    K = (p.beta * z - np.maximum(p.eta - z, 0.0) ** p.alpha / G
+         + np.maximum(t[:, None] - z, 0.0) ** p.alpha / G)
+    return np.abs(np.diff(K, axis=1)).sum(axis=1)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -253,59 +116,52 @@ def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, f
     return x, max(f1, f2)
 
 
-def _grid_then_golden(fn, lo: float, hi: float, points: int) -> tuple[float, float]:
-    ts = np.linspace(lo, hi, points)
-    vals = np.array([fn(t) for t in ts])
-    i = int(np.argmax(vals))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, points - 1)]
-    x, v = _golden_max(fn, float(a), float(b))
-    if vals[i] >= v:
-        return float(ts[i]), float(vals[i])
-    return x, v
-
-
-def compute_m(model: KernelModel, spec: QuadratureSpec = QuadratureSpec(),
-              t_points: int = 513) -> tuple[float, float]:
+def compute_m(model: KernelModel) -> tuple[float, float]:
     """Tight threshold m with 1/m = sup_t int_0^1 |k(t, s)| ds.
 
-    The supremum is located on a grid of ``t_points`` values (>= 513) and
-    refined by golden-section search. Returns (m, t_star).
-    """
-    if t_points < 513:
-        raise ValueError(f"t_points must be >= 513, got {t_points}")
-    t_star, sup = _grid_then_golden(lambda t: _abs_kernel_integral(model, t), 0.0, 1.0, t_points)
-    return 1.0 / sup, t_star
-
-
-def compute_M(model: KernelModel, spec: QuadratureSpec = QuadratureSpec(),
-              t_points: int = 513) -> tuple[float, float]:
-    """Tight threshold M with 1/M = inf_{t in [0,b]} int_0^b k(t, s) ds.
-
-    Returns (M, t_star). Raises ValueError if the infimum is not positive
-    (cannot happen for a model whose cone bounds verified).
-    """
-    if t_points < 513:
-        raise ValueError(f"t_points must be >= 513, got {t_points}")
-    b = model.params.b
-    t_star, neg = _grid_then_golden(lambda t: -_kernel_integral_on_b(model, t), 0.0, b, t_points)
-    inf = -neg
-    if not inf > 0.0:
-        raise ValueError(f"kernel integral lost positivity on [0, b]: inf = {inf:.3e}")
-    return 1.0 / inf, t_star
-
-
-def compute_hat_constants(model: KernelModel, spec: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
-    """Estimates (m_hat, M_hat) from the envelope integrals.
-
-    1/m_hat = int_0^1 Phi, 1/M_hat = int_0^b c*Phi; conservative for the
-    index conditions since m_hat <= m and M_hat >= M.
+    The supremum is located on a grid of 513 t values and refined by
+    golden-section search between the neighbours of the best grid point.
+    Returns (m, t_star).
     """
     p = model.params
-    inv_m_hat = integrate_piecewise(lambda s: phi_values(p, s), (p.eta,), spec)
-    inv_M_hat = model.c * integrate_piecewise(
-        lambda s: phi_values(p, s), (p.eta,), spec, interval=(0.0, p.b)
-    )
+    ts = np.linspace(0.0, 1.0, _T_POINTS)
+    vals = abs_row_integral(p, ts)
+    i = int(np.argmax(vals))
+    x, sup = _golden_max(lambda t: float(abs_row_integral(p, t)[0]),
+                         float(ts[max(i - 1, 0)]), float(ts[min(i + 1, _T_POINTS - 1)]))
+    if vals[i] >= sup:
+        x, sup = float(ts[i]), float(vals[i])
+    return 1.0 / sup, x
+
+
+def compute_M(model: KernelModel) -> tuple[float, float]:
+    """Tight threshold M with 1/M = inf_{t in [0,b]} int_0^b k(t, s) ds.
+
+    k(., s) is nonincreasing in t, so the infimum is attained at t = b:
+    1/M = beta*b + (eta^alpha - b^alpha)/Gamma(alpha+1). Returns (M, b).
+    Raises ValueError if the infimum is not positive (cannot happen for a
+    model whose cone bounds verified).
+    """
+    p = model.params
+    inf = p.beta * p.b + (p.eta ** p.alpha - p.b ** p.alpha) / gamma(p.alpha + 1.0)
+    if not inf > 0.0:
+        raise ValueError(f"kernel integral lost positivity on [0, b]: inf = {inf:.3e}")
+    return 1.0 / inf, p.b
+
+
+def compute_hat_constants(model: KernelModel) -> tuple[float, float]:
+    """Estimates (m_hat, M_hat) from the envelope integrals.
+
+    1/m_hat = beta*eta + eta^alpha/Gamma(alpha+1) + (1-eta)*U and
+    1/M_hat = c*(beta*eta + eta^alpha/Gamma(alpha+1) + (b-eta)*U), where
+    U = (1-eta)^(alpha-1)/Gamma(alpha) - beta is Phi on (eta, 1].
+    Conservative for the index conditions since m_hat <= m and M_hat >= M.
+    """
+    p = model.params
+    head = p.beta * p.eta + p.eta ** p.alpha / gamma(p.alpha + 1.0)
+    upper = (1.0 - p.eta) ** (p.alpha - 1.0) / model.gamma_alpha - p.beta
+    inv_m_hat = head + (1.0 - p.eta) * upper
+    inv_M_hat = model.c * (head + (p.b - p.eta) * upper)
     return 1.0 / inv_m_hat, 1.0 / inv_M_hat
 
 
@@ -314,7 +170,7 @@ class ConstantsReport:
     """Threshold constants of one equation.
 
     Invariants: all entries positive and finite, m >= m_hat and
-    M <= M_hat up to 1e-6 relative slack.
+    M <= M_hat exactly.
     """
 
     m: float
@@ -323,24 +179,22 @@ class ConstantsReport:
     M_hat: float
     t_star_m: float
     t_star_M: float
-    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         for name in ("m", "M", "m_hat", "M_hat"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"constant {name} must be positive finite, got {v!r}")
-        if self.m < self.m_hat * (1.0 - 1e-6):
+        if self.m < self.m_hat:
             raise ValueError(f"m = {self.m!r} fell below its estimate m_hat = {self.m_hat!r}")
-        if self.M > self.M_hat * (1.0 + 1e-6):
+        if self.M > self.M_hat:
             raise ValueError(f"M = {self.M!r} exceeded its estimate M_hat = {self.M_hat!r}")
 
 
-def compute_constants(model: KernelModel, spec: QuadratureSpec = QuadratureSpec(),
-                      t_points: int = 513) -> ConstantsReport:
+def compute_constants(model: KernelModel) -> ConstantsReport:
     """Compute every threshold constant of one equation."""
-    m, t_star_m = compute_m(model, spec, t_points)
-    M, t_star_M = compute_M(model, spec, t_points)
-    m_hat, M_hat = compute_hat_constants(model, spec)
+    m, t_star_m = compute_m(model)
+    M, t_star_M = compute_M(model)
+    m_hat, M_hat = compute_hat_constants(model)
     return ConstantsReport(m=m, M=M, m_hat=m_hat, M_hat=M_hat,
-                           t_star_m=t_star_m, t_star_M=t_star_M, spec=spec)
+                           t_star_m=t_star_m, t_star_M=t_star_M)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .exprlang import Expr, eval_expr_array
 from .kernel import KernelModel, kernel_values
-from .quadrature import QuadratureSpec, _SCAN_DEPTH, _graded_edges, _panel_nodes
 
 __all__ = [
     "SystemGrid",
@@ -38,6 +37,32 @@ __all__ = [
 ]
 
 _MIN_NODES = 8
+
+# dyadic grading depth of the panels toward the kernel kinks; 26 levels
+# resolve the (distance)^(alpha-1) endpoint behaviour to well below 1e-12
+# for alpha > 1
+_SCAN_DEPTH = 26
+
+# order-16 Gauss-Legendre rule of every panel
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # mapped to [0, 1]
+
+
+def _graded_edges(lo: float, hi: float) -> np.ndarray:
+    """Panel edges on [lo, hi], dyadically refined toward both ends."""
+    w = hi - lo
+    left = lo + 0.5 * w * 2.0 ** -np.arange(_SCAN_DEPTH, -1.0, -1.0)
+    right = hi - 0.5 * w * 2.0 ** -np.arange(1.0, _SCAN_DEPTH + 1.0)
+    return np.concatenate(([lo], left, right, [hi]))
+
+
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All Gauss nodes and weights for the panels delimited by ``edges``."""
+    a = edges[:-1][:, None]
+    h = np.diff(edges)[:, None]
+    nodes = (a + h * _GAUSS_X[None, :]).ravel()
+    weights = (h * _GAUSS_W[None, :]).ravel()
+    return nodes, weights
 
 
 def _lagrange_stencil(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,33 +113,31 @@ class SystemGrid:
     breakpoints: tuple[float, ...]
 
 
-def _row_rule(params, t: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_rule(params, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Graded panel nodes/weights on [0, 1] split at the kernel kinks eta, t."""
     pts = sorted({0.0, 1.0, *(x for x in (params.eta, t) if 0.0 < x < 1.0)})
     all_nodes, all_weights = [], []
     for a, b in zip(pts[:-1], pts[1:]):
         if b - a <= 1e-15:
             continue
-        edges = _graded_edges(a, b, True, True, _SCAN_DEPTH)
-        nodes, weights = _panel_nodes(edges, order)
+        nodes, weights = _panel_nodes(_graded_edges(a, b))
         all_nodes.append(nodes)
         all_weights.append(weights)
     return np.concatenate(all_nodes), np.concatenate(all_weights)
 
 
-def _weight_matrix(params, nodes: np.ndarray, order: int) -> np.ndarray:
+def _weight_matrix(params, nodes: np.ndarray) -> np.ndarray:
     n = nodes.size
     W = np.zeros((n, n))
     for j, t in enumerate(nodes):
-        sq, wq = _row_rule(params, float(t), order)
+        sq, wq = _row_rule(params, float(t))
         contrib = wq * kernel_values(params, float(t), sq)
         idx, basis = _lagrange_stencil(nodes, sq)
         np.add.at(W[j], idx.ravel(), (contrib[:, None] * basis).ravel())
     return W
 
 
-def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201,
-               quad: QuadratureSpec = QuadratureSpec()) -> SystemGrid:
+def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
     """Build the collocation grid and weight matrices for both equations.
 
     ``n`` uniform nodes on [0, 1] are joined with each equation's eta and
@@ -127,8 +150,7 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201,
     breaks = tuple(sorted({p1.eta, p2.eta, p1.b, p2.b}))
     extra = [x for x in breaks if np.min(np.abs(base - x)) > 1e-12]
     nodes = np.sort(np.concatenate((base, np.asarray(extra)))) if extra else base
-    weights = (_weight_matrix(p1, nodes, quad.panel_order),
-               _weight_matrix(p2, nodes, quad.panel_order))
+    weights = (_weight_matrix(p1, nodes), _weight_matrix(p2, nodes))
     return SystemGrid(nodes=nodes, weights=weights, n_requested=n, breakpoints=breaks)
 
 

@@ -20,7 +20,6 @@ from fraccert.cli import (
     main,
 )
 from fraccert.kernel import kernel_values
-from fraccert.quadrature import QuadratureSpec
 from fraccert.solver import build_grid
 
 REF = str(CONFIG_DIR / "reference.json")
@@ -53,7 +52,6 @@ class TestLoadConfig:
         assert cfg.f_text == ("10", "10")
         assert cfg.options.conservative is True
         assert cfg.options.margin == 1e-9
-        assert cfg.options.quadrature == QuadratureSpec()
         assert cfg.options.lipschitz is None
 
     def test_missing_nonlinearity_is_schema_error(self, tmp_path):
@@ -129,11 +127,13 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.json")
 
     def test_bad_quadrature_options(self, tmp_path):
+        # options.quadrature is deprecated: accepted, ignored, warned about once
         path = write_config(
             tmp_path, lambda c: c["options"].update(quadrature={"panel_order": 1}))
-        with pytest.raises(ValidationError) as info:
-            load_config(path)
-        assert info.value.errors[0].startswith("/options/quadrature")
+        with pytest.warns(FutureWarning, match="/options/quadrature") as record:
+            cfg = load_config(path)
+        assert len(record) == 1
+        assert cfg.options == load_config(REF).options
 
     def test_negative_margin(self, tmp_path):
         path = write_config(tmp_path, lambda c: c["options"].update(margin=-1.0))
@@ -219,6 +219,16 @@ class TestConstantsCommand:
         assert main(["constants", "--config", REF, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text(encoding="utf-8") == stdout1
+
+    def test_deprecated_quadrature_leaves_report_unchanged(self, tmp_path, capsys):
+        plain = write_config(tmp_path, name="plain.json")
+        quad = write_config(tmp_path, lambda c: c["options"].update(
+            quadrature={"abs_tol": 1e-6}), name="quad.json")
+        assert main(["constants", "--config", plain]) == 0
+        expected = capsys.readouterr().out
+        with pytest.warns(FutureWarning, match="/options/quadrature"):
+            assert main(["constants", "--config", quad]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestCertifyCommand:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraccert.exprlang import parse
-from fraccert.quadrature import QuadratureSpec, integrate_piecewise
 from fraccert.solver import (
     GridSolution,
     apply_T,
@@ -70,19 +69,6 @@ class TestGrid:
         for w, params in ((grid64.weights[0], params1), (grid64.weights[1], params2)):
             expected = np.array([row_integral(params, t) for t in grid64.nodes])
             assert np.max(np.abs(w @ ones - expected)) < 1e-9
-
-    def test_weights_match_adaptive_quadrature(self, grid64, params1):
-        from fraccert.kernel import kernel_values
-
-        j = np.argmin(np.abs(grid64.nodes - 0.3))
-        t = float(grid64.nodes[j])
-        ref = integrate_piecewise(
-            lambda s: kernel_values(params1, t, s),
-            breakpoints=(params1.eta, t),
-            spec=QuadratureSpec(abs_tol=1e-13),
-        )
-        got = float(grid64.weights[0][j] @ np.ones(grid64.nodes.size))
-        assert got == pytest.approx(ref, abs=1e-9)
 
 
 class TestApplyT:
@@ -254,8 +240,7 @@ class TestConvergenceOrder:
 
     def test_self_convergence_rate(self, model1, model2):
         f1, f2 = parse("exp(t)"), parse("cos(3*t)")
-        spec = QuadratureSpec(abs_tol=1e-13)
-        sols = {n: solve_picard(build_grid((model1, model2), n, quad=spec),
+        sols = {n: solve_picard(build_grid((model1, model2), n),
                                 f1, f2, damping=1.0, tol=1e-11)
                 for n in (33, 65, 129)}
         assert all(s.converged for s in sols.values())
