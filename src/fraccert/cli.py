@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,7 +122,7 @@ def _schema_scan(raw) -> list[str]:
     if not isinstance(opts, dict):
         errs.append("/options: must be an object")
         return errs
-    for key in sorted(set(opts) - {"conservative", "margin", "quadrature", "lipschitz"}):
+    for key in sorted(set(opts) - {"conservative", "margin", "lipschitz"}):
         errs.append(f"/options/{key}: unknown key")
     if "conservative" in opts and not isinstance(opts["conservative"], bool):
         errs.append("/options/conservative: must be a boolean")
@@ -151,8 +150,6 @@ def load_config(path) -> ProblemConfig:
     structure is sound, every semantic problem -- parameter inequalities
     and expression syntax -- is likewise aggregated (ValidationError).
     Both carry JSON-pointer paths. I/O problems propagate as OSError.
-    The deprecated ``options.quadrature`` is accepted and ignored with a
-    FutureWarning.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -176,7 +173,7 @@ def load_config(path) -> ProblemConfig:
                 b = eta
         msgs = check_params(alpha, beta, eta, b)
         if msgs:
-            sem.extend(f"/equations/{i}: {msg}" for msg in msgs)
+            sem.extend(f"/equations/{i}: {msg}" for _, msg in msgs)
         else:
             params.append(validate_params(alpha, beta, eta, b))
     f_text = []
@@ -188,9 +185,6 @@ def load_config(path) -> ProblemConfig:
             sem.append(f"/nonlinearities/{key}: {exc}")
         f_text.append(text_i)
     opts_raw = raw.get("options", {})
-    if "quadrature" in opts_raw:
-        warnings.warn("/options/quadrature is deprecated and ignored: the threshold "
-                      "constants are computed in closed form", FutureWarning, stacklevel=2)
     lip_raw = opts_raw.get("lipschitz")
     lipschitz = None
     if lip_raw is not None:

@@ -95,49 +95,39 @@ class ProblemParams:
     b: float
 
 
-def check_params(alpha: float, beta: float, eta: float, b: float) -> list[str]:
-    """Collect every violated admissibility condition (empty list if valid)."""
-    problems: list[str] = []
+def check_params(alpha: float, beta: float, eta: float, b: float) -> list[tuple[type[ParamError], str]]:
+    """Collect every violated admissibility condition as an (error class, message) pair."""
+    problems: list[tuple[type[ParamError], str]] = []
     for name, val in (("alpha", alpha), ("beta", beta), ("eta", eta), ("b", b)):
         if not (isinstance(val, (int, float)) and math.isfinite(float(val))):
-            problems.append(f"{name} must be a finite real number, got {val!r}")
+            problems.append((ParamError, f"{name} must be a finite real number, got {val!r}"))
     if problems:
         return problems
     alpha, beta, eta, b = float(alpha), float(beta), float(eta), float(b)
     if not 1.0 < alpha <= 2.0:
-        problems.append(f"order alpha must lie in (1, 2], got {alpha!r}")
+        problems.append((OrderOutOfRange, f"order alpha must lie in (1, 2], got {alpha!r}"))
     if beta <= 0.0:
-        problems.append(f"beta must be > 0, got {beta!r}")
+        problems.append((NonpositiveBeta, f"beta must be > 0, got {beta!r}"))
     if not 0.0 <= eta < 1.0:
-        problems.append(f"eta must lie in [0, 1), got {eta!r}")
+        problems.append((EtaOutOfRange, f"eta must lie in [0, 1), got {eta!r}"))
     if problems:
         return problems
     g = gamma(alpha)
     if not beta * g < (1.0 - eta) ** (alpha - 1.0):
-        problems.append(
-            f"sign-changing regime requires beta*Gamma(alpha) < (1-eta)^(alpha-1); "
-            f"got {beta * g:.6g} >= {(1.0 - eta) ** (alpha - 1.0):.6g}"
-        )
+        problems.append((FocusCaseViolated,
+                         f"sign-changing regime requires beta*Gamma(alpha) < (1-eta)^(alpha-1); "
+                         f"got {beta * g:.6g} >= {(1.0 - eta) ** (alpha - 1.0):.6g}"))
         return problems
     if not eta <= b < 1.0:
-        problems.append(f"interval end b must lie in [eta, 1) = [{eta!r}, 1), got {b!r}")
+        problems.append((IntervalChoiceViolated,
+                         f"interval end b must lie in [eta, 1) = [{eta!r}, 1), got {b!r}"))
         return problems
     if not beta * g > (b - eta) ** (alpha - 1.0):
-        problems.append(
-            f"interval condition requires beta*Gamma(alpha) > (b-eta)^(alpha-1); "
-            f"got {beta * g:.6g} <= {(b - eta) ** (alpha - 1.0):.6g} "
-            f"(reduce b toward eta; any b < eta + (beta*Gamma(alpha))^(1/(alpha-1)) works)"
-        )
+        problems.append((IntervalChoiceViolated,
+                         f"interval condition requires beta*Gamma(alpha) > (b-eta)^(alpha-1); "
+                         f"got {beta * g:.6g} <= {(b - eta) ** (alpha - 1.0):.6g} (reduce b "
+                         f"toward eta; any b < eta + (beta*Gamma(alpha))^(1/(alpha-1)) works)"))
     return problems
-
-
-_ERROR_KIND = (
-    ("order alpha", OrderOutOfRange),
-    ("beta must be > 0", NonpositiveBeta),
-    ("eta must lie", EtaOutOfRange),
-    ("sign-changing regime", FocusCaseViolated),
-    ("interval", IntervalChoiceViolated),
-)
 
 
 def validate_params(alpha: float, beta: float, eta: float, b: float | None = None) -> ProblemParams:
@@ -151,11 +141,8 @@ def validate_params(alpha: float, beta: float, eta: float, b: float | None = Non
         b = (float(eta) + 1.0) / 2.0
     problems = check_params(alpha, beta, eta, b)
     if problems:
-        msg = problems[0]
-        for needle, kind in _ERROR_KIND:
-            if needle in msg:
-                raise kind(msg)
-        raise ParamError(msg)
+        kind, msg = problems[0]
+        raise kind(msg)
     return ProblemParams(float(alpha), float(beta), float(eta), float(b))
 
 

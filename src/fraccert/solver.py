@@ -6,12 +6,12 @@ The system
     v(t) = int_0^1 k_2(t, s) f_2(s, u(s), v(s)) ds,
 
 is discretized on a shared node set (a uniform grid joined with the
-kernel breakpoints eta_i and the cone interval ends b_i). For every node
-t_j the s-integral uses graded Gauss panels split at {eta, t_j}, with the
-integrand's nonlinear factor reconstructed from its node values by local
-piecewise-cubic Lagrange interpolation. That yields one dense weight
-matrix per equation, so one fixed-point application is two matrix-vector
-products. The fixed point itself is found by damped Picard iteration;
+kernel breakpoints eta_i and the cone interval ends b_i). Each kernel row
+is integrated exactly (product integration; its kinks eta and t_j are
+nodes) against the local piecewise-cubic Lagrange interpolant of the
+integrand's nonlinear factor. That yields one dense weight matrix per
+equation, so one fixed-point application is two matrix-vector products.
+The fixed point itself is found by damped Picard iteration;
 non-convergence is a flagged outcome, never an exception.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import Expr, eval_expr_array
-from .kernel import KernelModel, kernel_values
+from .kernel import KernelModel
 
 __all__ = [
     "SystemGrid",
@@ -38,31 +38,14 @@ __all__ = [
 
 _MIN_NODES = 8
 
-# dyadic grading depth of the panels toward the kernel kinks; 26 levels
-# resolve the (distance)^(alpha-1) endpoint behaviour to well below 1e-12
-# for alpha > 1
-_SCAN_DEPTH = 26
+# order-8 Gauss-Legendre rule on [0, 1]: exact for the cubic basis, and
+# within rho^-13 (relative) of the integral of (t - s)^(alpha-1) times it
+# on a cell ending at least one width before t (rho >= 3 + sqrt(8))
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W
 
-# order-16 Gauss-Legendre rule of every panel
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W  # mapped to [0, 1]
-
-
-def _graded_edges(lo: float, hi: float) -> np.ndarray:
-    """Panel edges on [lo, hi], dyadically refined toward both ends."""
-    w = hi - lo
-    left = lo + 0.5 * w * 2.0 ** -np.arange(_SCAN_DEPTH, -1.0, -1.0)
-    right = hi - 0.5 * w * 2.0 ** -np.arange(1.0, _SCAN_DEPTH + 1.0)
-    return np.concatenate(([lo], left, right, [hi]))
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All Gauss nodes and weights for the panels delimited by ``edges``."""
-    a = edges[:-1][:, None]
-    h = np.diff(edges)[:, None]
-    nodes = (a + h * _GAUSS_X[None, :]).ravel()
-    weights = (h * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
+# bytes of the table of (t_j - s)^(alpha-1) at the Gauss nodes of one row block
+_BLOCK_BYTES = 1 << 18
 
 
 def _lagrange_stencil(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,10 +84,10 @@ def interpolate_nodes(nodes: np.ndarray, values: np.ndarray, ts) -> np.ndarray:
 class SystemGrid:
     """Shared node set and per-equation integration weight matrices.
 
-    ``weights[i][j, p]`` approximates int_0^1 k_{i+1}(t_j, s) L_p(s) ds
-    for the piecewise-cubic cardinal function L_p of node p, so
+    ``weights[i][j, p]`` is int_0^1 k_{i+1}(t_j, s) L_p(s) ds, exact up to
+    roundoff, for the piecewise-cubic cardinal function L_p of node p, so
     weights[i] @ g integrates k_{i+1}(t_j, .) against the interpolant of
-    the node values g.
+    the node values g (exactly for cubic g, kinks of k included).
     """
 
     nodes: np.ndarray
@@ -113,44 +96,80 @@ class SystemGrid:
     breakpoints: tuple[float, ...]
 
 
-def _row_rule(params, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Graded panel nodes/weights on [0, 1] split at the kernel kinks eta, t."""
-    pts = sorted({0.0, 1.0, *(x for x in (params.eta, t) if 0.0 < x < 1.0)})
-    all_nodes, all_weights = [], []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 1e-15:
-            continue
-        nodes, weights = _panel_nodes(_graded_edges(a, b))
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
-
-
-def _weight_matrix(params, nodes: np.ndarray) -> np.ndarray:
-    n = nodes.size
-    W = np.zeros((n, n))
-    for j, t in enumerate(nodes):
-        sq, wq = _row_rule(params, float(t))
-        contrib = wq * kernel_values(params, float(t), sq)
-        idx, basis = _lagrange_stencil(nodes, sq)
-        np.add.at(W[j], idx.ravel(), (contrib[:, None] * basis).ravel())
-    return W
+def _weight_matrix(model: KernelModel, nodes: np.ndarray) -> np.ndarray:
+    """W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha), with B[p] = int_0^1 L_p,
+    R[j, p] = int_0^{t_j} (t_j - s)^(alpha-1) L_p(s) ds and E = R at eta:
+    each cell of row j of R takes the Gauss rule, or exact moments when t_j
+    lies at most one cell width past the cell's end."""
+    p = model.params
+    n, g = nodes.size, _GAUSS_X.size
+    width = np.diff(nodes)
+    stencil = _lagrange_stencil(nodes, nodes[:-1])[0]  # node indices per cell
+    # near (row, cell) pairs, among the cells ending within 2 max(width) of t_j
+    first = np.searchsorted(nodes, nodes - 2.0 * width.max())
+    c = first[:, None] - 1 + np.arange(np.max(np.arange(n) - first) + 2)
+    gap = nodes[:, None] - nodes.take(c + 1, mode="clip")
+    near = (c >= 0) & (c < np.arange(n)[:, None]) & (gap <= width.take(c, mode="clip"))
+    rows, cells = np.nonzero(near)[0], c[near]
+    # and their exact moments: in u = (t_j - s)/w the cell is [lo, lo + 1], lo <= 1,
+    # and the stencil nodes u_r are O(1), so neither the moments of u^(alpha-1+k)
+    # nor the product form of basis cubic q, prod_{r != q} (u - u_r)/(u_q - u_r), cancel
+    t, w = nodes[rows, None], width[cells, None]
+    k = p.alpha + np.arange(4.0)
+    mom = (((t - nodes[cells, None]) / w) ** k - ((t - nodes[cells + 1, None]) / w) ** k) / k
+    u = (t - nodes[stencil[cells]]) / w
+    exact = np.empty((rows.size, 4))
+    for q in range(4):
+        r = u[:, np.arange(4) != q]
+        e2 = r[:, 0] * r[:, 1] + r[:, 2] * (r[:, 0] + r[:, 1])
+        num = mom[:, 3] - r.sum(axis=1) * mom[:, 2] + e2 * mom[:, 1] - r.prod(axis=1) * mom[:, 0]
+        exact[:, q] = num / (u[:, q:q + 1] - r).prod(axis=1)
+    exact *= w**p.alpha
+    del c, gap, near, t, w, mom, u, r, e2, num
+    # the Gauss rule times the basis on every cell
+    gs = (nodes[:-1, None] + width[:, None] * _GAUSS_X).ravel()
+    rule = _lagrange_stencil(nodes, gs)[1].reshape(n - 1, g, 4)
+    rule *= (width[:, None] * _GAUSS_W)[:, :, None]
+    B = np.bincount(stencil.ravel(), rule.sum(axis=1).ravel(), minlength=n)
+    R = np.zeros((n, n))
+    per = max(1, _BLOCK_BYTES // (8 * g * (n - 1)))
+    buf = np.empty((per, g * (n - 1)))
+    flat = stencil[:, None, :] + n * np.arange(per)[:, None]  # (cell, row, q) -> R block
+    for j0 in range(1, n, per):  # row 0 is t = 0, where R vanishes
+        j1 = min(n, j0 + per)
+        m = j1 - 1  # cells that start left of some row of the block
+        F = buf[:j1 - j0, :g * m]
+        np.subtract(nodes[j0:j1, None], gs[:g * m], out=F)
+        np.maximum(F[:, g * j0:], 0.0, out=F[:, g * j0:])  # cells from t_{j0} on
+        F **= p.alpha - 1.0
+        P = np.matmul(F.reshape(j1 - j0, m, g).transpose(1, 0, 2), rule[:m])
+        a, b = np.searchsorted(rows, (j0, j1))
+        P[cells[a:b], rows[a:b] - j0] = exact[a:b]
+        R[j0:j1] += np.bincount(flat[:m, :j1 - j0].ravel(), P.ravel(),
+                                minlength=(j1 - j0) * n).reshape(j1 - j0, n)
+    R -= R[int(np.searchsorted(nodes, p.eta))].copy()  # eta is a node
+    R *= -1.0 / model.gamma_alpha
+    R += p.beta * B
+    return R
 
 
 def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
     """Build the collocation grid and weight matrices for both equations.
 
     ``n`` uniform nodes on [0, 1] are joined with each equation's eta and
-    b (values within 1e-12 of a uniform node collapse onto it).
+    b. A breakpoint within h/4 of an interior uniform node (h = 1/(n-1))
+    takes that node's place, so it leaves no sliver cell beside it.
     """
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {n}")
-    base = np.linspace(0.0, 1.0, n)
     p1, p2 = models[0].params, models[1].params
     breaks = tuple(sorted({p1.eta, p2.eta, p1.b, p2.b}))
-    extra = [x for x in breaks if np.min(np.abs(base - x)) > 1e-12]
-    nodes = np.sort(np.concatenate((base, np.asarray(extra)))) if extra else base
-    weights = (_weight_matrix(p1, nodes), _weight_matrix(p2, nodes))
+    base = np.linspace(0.0, 1.0, n)
+    gap = np.min(np.abs(base[:, None] - np.asarray(breaks)), axis=1)
+    keep = gap > 0.25 / (n - 1)
+    keep[[0, -1]] = gap[[0, -1]] > 0.0  # the ends of [0, 1] stay
+    nodes = np.sort(np.concatenate((base[keep], breaks)))
+    weights = (_weight_matrix(models[0], nodes), _weight_matrix(models[1], nodes))
     return SystemGrid(nodes=nodes, weights=weights, n_requested=n, breakpoints=breaks)
 
 

@@ -127,13 +127,12 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.json")
 
     def test_bad_quadrature_options(self, tmp_path):
-        # options.quadrature is deprecated: accepted, ignored, warned about once
+        # the removed options.quadrature is an unknown key like any other
         path = write_config(
             tmp_path, lambda c: c["options"].update(quadrature={"panel_order": 1}))
-        with pytest.warns(FutureWarning, match="/options/quadrature") as record:
-            cfg = load_config(path)
-        assert len(record) == 1
-        assert cfg.options == load_config(REF).options
+        with pytest.raises(SchemaError) as info:
+            load_config(path)
+        assert info.value.errors == ["/options/quadrature: unknown key"]
 
     def test_negative_margin(self, tmp_path):
         path = write_config(tmp_path, lambda c: c["options"].update(margin=-1.0))
@@ -220,15 +219,15 @@ class TestConstantsCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text(encoding="utf-8") == stdout1
 
-    def test_deprecated_quadrature_leaves_report_unchanged(self, tmp_path, capsys):
-        plain = write_config(tmp_path, name="plain.json")
+    def test_quadrature_option_rejected(self, tmp_path, capsys):
+        # the removed key fails the run with exit 1 and its JSON pointer
         quad = write_config(tmp_path, lambda c: c["options"].update(
             quadrature={"abs_tol": 1e-6}), name="quad.json")
-        assert main(["constants", "--config", plain]) == 0
-        expected = capsys.readouterr().out
-        with pytest.warns(FutureWarning, match="/options/quadrature"):
-            assert main(["constants", "--config", quad]) == 0
-        assert capsys.readouterr().out == expected
+        assert main(["constants", "--config", quad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config rejected:" in captured.err
+        assert "/options/quadrature: unknown key" in captured.err
 
 
 class TestCertifyCommand:

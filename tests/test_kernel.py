@@ -84,9 +84,9 @@ class TestParamValidation:
         assert p.alpha == 2.0
 
     def test_check_params_aggregates(self):
-        msgs = check_params(2.5, -1.0, 1.5, 0.775)
-        assert len(msgs) == 3
-        joined = "\n".join(msgs)
+        problems = check_params(2.5, -1.0, 1.5, 0.775)
+        assert [kind for kind, _ in problems] == [OrderOutOfRange, NonpositiveBeta, EtaOutOfRange]
+        joined = "\n".join(msg for _, msg in problems)
         assert "alpha" in joined and "beta" in joined and "eta" in joined
 
     def test_check_params_valid_is_empty(self):

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraccert.exprlang import parse
+from fraccert.kernel import KernelModel, build_model, compute_c, kernel_values, validate_params
 from fraccert.solver import (
     GridSolution,
+    _lagrange_stencil,
     apply_T,
     build_grid,
     cone_metrics,
@@ -21,12 +23,39 @@ from fraccert.specialfn import gamma
 
 
 def row_integral(params, t, degree=0):
-    """Closed form of int_0^1 k(t, s) s^degree ds for degree 0, 1, 2."""
+    """Closed form of int_0^1 k(t, s) s^degree ds."""
     a = params.alpha
     factor = math.factorial(degree)
     return (params.beta / (degree + 1)
             + factor * (params.eta ** (a + degree) - t ** (a + degree))
             / gamma(a + degree + 1))
+
+
+def oracle_weights(params, nodes, levels=40, order=10):
+    """Brute-force int_0^1 k(t_j, s) L_p(s) ds for every node pair.
+
+    Each cell gets a composite Gauss rule graded geometrically toward its
+    right end, the only place a kink of k(t_j, .) (eta or t_j, both
+    nodes) can sit, and L_p is read off the interpolation stencil.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.concatenate(([0.0], 1.0 - 2.0 ** -np.arange(1.0, levels + 1.0), [1.0]))
+    widths = np.diff(edges)
+    sigma = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
+    sigma_w = (0.5 * widths[:, None] * w).ravel()
+    W = np.zeros((nodes.size, nodes.size))
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        s = a + (b - a) * sigma
+        idx, basis = _lagrange_stencil(nodes, s)
+        for j, t in enumerate(nodes):
+            W[j, idx[0]] += ((b - a) * sigma_w * kernel_values(params, float(t), s)) @ basis
+    return W
+
+
+def unverified_model(alpha, beta, eta, b):
+    """A kernel model for the weights alone, without the sampled envelope check."""
+    params = validate_params(alpha, beta, eta, b)
+    return KernelModel(params=params, c=compute_c(params), gamma_alpha=gamma(alpha))
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +77,9 @@ class TestGrid:
         grid = build_grid((model1, model2), 8)
         assert grid.n_requested == 8
         assert grid.breakpoints == (2.0 / 3.0, 41.0 / 60.0, 0.75, 0.775)
-        assert grid.nodes.size == 12
+        # 41/60 is within h/4 of the uniform node 5/7 and takes its place
+        assert grid.nodes.size == 11
+        assert 5.0 / 7.0 not in grid.nodes
         for x in grid.breakpoints:
             assert np.min(np.abs(grid.nodes - x)) == 0.0
         assert np.all(np.diff(grid.nodes) > 0)
@@ -68,7 +99,58 @@ class TestGrid:
         ones = np.ones(grid64.nodes.size)
         for w, params in ((grid64.weights[0], params1), (grid64.weights[1], params2)):
             expected = np.array([row_integral(params, t) for t in grid64.nodes])
-            assert np.max(np.abs(w @ ones - expected)) < 1e-9
+            assert np.max(np.abs(w @ ones - expected)) < 1e-13
+
+    def test_weights_integrate_cubics(self, grid64, params1, params2):
+        nodes = grid64.nodes
+        for w, params in ((grid64.weights[0], params1), (grid64.weights[1], params2)):
+            for k in range(4):
+                expected = np.array([row_integral(params, t, k) for t in nodes])
+                assert np.max(np.abs(w @ nodes**k - expected)) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_weights_match_oracle(self, model1, model2, n):
+        grid = build_grid((model1, model2), n)
+        for w, model in zip(grid.weights, (model1, model2)):
+            assert np.max(np.abs(w - oracle_weights(model.params, grid.nodes))) < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1.01, 2.0), st.floats(0.1, 0.9), st.floats(0.1, 0.9))
+    def test_weights_match_oracle_over_alpha(self, alpha, eta, frac):
+        # b = eta adds no breakpoint of its own; beta is a fraction of its bound
+        beta = frac * (1.0 - eta) ** (alpha - 1.0) / gamma(alpha)
+        model = unverified_model(alpha, beta, eta, eta)
+        grid = build_grid((model, model), 16)
+        oracle = oracle_weights(model.params, grid.nodes)
+        assert np.max(np.abs(grid.weights[0] - oracle)) < 1e-10
+
+    def test_alpha_two_weights_are_polynomial_integrals(self):
+        # at alpha = 2 the kernel is piecewise linear with kinks at nodes, so
+        # a 3-point Gauss rule per cell integrates it times the cubic basis
+        # exactly
+        model = unverified_model(2.0, 0.3, 0.5, 0.6)
+        grid = build_grid((model, model), 16)
+        nodes = grid.nodes
+        x, w = np.polynomial.legendre.leggauss(3)
+        expected = np.zeros((nodes.size, nodes.size))
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            s = a + 0.5 * (b - a) * (x + 1.0)
+            idx, basis = _lagrange_stencil(nodes, s)
+            for j, t in enumerate(nodes):
+                expected[j, idx[0]] += (0.5 * (b - a) * w * kernel_values(model.params, t, s)) @ basis
+        assert np.max(np.abs(grid.weights[0] - expected)) < 1e-14
+
+    def test_breakpoint_near_uniform_node_leaves_no_sliver(self, model1, model2):
+        # b_1 just off the uniform node 0.775 = 155/200 takes that node's
+        # place instead of making a 1e-10 cell beside it
+        params = validate_params(1.5, 0.2, 0.75, 0.775 + 1e-10)
+        plain = build_grid((model1, model2), 201)
+        grid = build_grid((build_model(params), model2), 201)
+        assert grid.nodes.size == plain.nodes.size
+        assert np.min(np.diff(grid.nodes)) > 0.25 / 200
+        assert np.max(np.abs(grid.weights[0])) < 2.0 * np.max(np.abs(plain.weights[0]))
+        expected = np.array([row_integral(params, t) for t in grid.nodes])
+        assert np.max(np.abs(grid.weights[0] @ np.ones(grid.nodes.size) - expected)) < 1e-13
 
 
 class TestApplyT:
@@ -98,6 +180,18 @@ class TestApplyT:
         Tu, _ = apply_T(grid64, parse("u^2"), ZERO, u, z)
         expected = np.array([row_integral(params1, t, 2) for t in grid64.nodes])
         assert np.max(np.abs(Tu - expected)) < 1e-9
+
+    def test_kinked_factor_matches_oracle(self, grid16, params1, params2):
+        # |s - 0.4| has its kink at a node; the cubic stencils straddle it, so
+        # the result is the exact integral of a non-polynomial interpolant
+        nodes = grid16.nodes
+        assert 0.4 in nodes
+        z = np.zeros(nodes.size)
+        f = parse("abs(t - 0.4)")
+        Tu, Tv = apply_T(grid16, f, f, z, z)
+        g = np.abs(nodes - 0.4)
+        assert np.max(np.abs(Tu - oracle_weights(params1, nodes) @ g)) < 1e-10
+        assert np.max(np.abs(Tv - oracle_weights(params2, nodes) @ g)) < 1e-10
 
 
 class TestPicard:
@@ -244,7 +338,7 @@ class TestConvergenceOrder:
                                 f1, f2, damping=1.0, tol=1e-11)
                 for n in (33, 65, 129)}
         assert all(s.converged for s in sols.values())
-        coarse = np.linspace(0.0, 1.0, 33)
+        coarse = sols[33].grid.nodes
         u_ref, v_ref = self.shared_values(sols[129], coarse)
         errs = {}
         for n in (33, 65):
