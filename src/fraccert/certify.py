@@ -23,7 +23,8 @@ against m_i (below) or M_i (above) on a user box yield a nonexistence
 certificate scoped to that box (patterns NONEXIST-1/2/3).
 
 All extrema are sampled estimates: a sup estimate is a lower bound of the
-true sup, an inf estimate an upper bound of the true inf. With optional
+true sup, an inf estimate an upper bound of the true inf. Boxes are sampled
+on open grids (``np.ix_`` axes), never on materialised meshes. With optional
 Lipschitz constants the comparisons switch to certified one-sided bounds
 (sampled value +/- L * half cell diagonal of the covering grid).
 """
@@ -102,10 +103,10 @@ class ExtremumEstimate:
 
 
 def _scan(fn, axes) -> tuple[float, tuple[float, float, float], int]:
-    tg, ug, vg = np.meshgrid(*axes, indexing="ij")
-    vals = fn(tg, ug, vg)
+    """Maximize fn on the open grid ``np.ix_(*axes)``; the first maximum wins ties."""
+    vals = fn(*np.ix_(*axes))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[idx]), (float(tg[idx]), float(ug[idx]), float(vg[idx])), vals.size
+    return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx)), vals.size
 
 
 def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
@@ -474,30 +475,23 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
         own_axis = np.linspace(lo, own[1], n)
     other_axis = np.linspace(other[0], other[1], n)
     u_axis, v_axis = (own_axis, other_axis) if i == 1 else (other_axis, own_axis)
-    tg, ug, vg = np.meshgrid(t_axis, u_axis, v_axis, indexing="ij")
-    wg = ug if i == 1 else vg
-    vals = eval_expr_array(expr, tg, ug, vg)
-    if kind == "NE1":
-        ratio = vals / np.abs(wg)
-        idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        lhs, thr = float(ratio[idx]), problem.m_used(i)
-        holds = lhs < thr - problem.options.margin
-        est_kind = "sup"
-    else:
-        ratio = vals / wg
-        idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-        lhs, thr = float(ratio[idx]), problem.M_used(i)
-        holds = lhs > thr + problem.options.margin
-        est_kind = "inf"
+    # variant 2 samples only w_i > 0, where |w_i| = w_i
+    sign = 1.0 if kind == "NE1" else -1.0
+    signed_ratio = lambda tg, ug, vg: sign * (
+        eval_expr_array(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg))
+    best, loc, samples = _scan(signed_ratio, (t_axis, u_axis, v_axis))
+    lhs = sign * best
+    margin = problem.options.margin
+    thr = problem.m_used(i) if sign > 0 else problem.M_used(i)
+    holds = lhs < thr - margin if sign > 0 else lhs > thr + margin
     est = ExtremumEstimate(
-        kind=est_kind, value=lhs,
-        location=(float(tg[idx]), float(ug[idx]), float(vg[idx])),
-        samples=int(ratio.size), refine_rounds=0,
+        kind="sup" if sign > 0 else "inf", value=lhs, location=loc,
+        samples=samples, refine_rounds=0,
     )
     return ConditionResult(
         kind=kind, equation=i, rho=None, box=box, lhs=lhs, threshold=thr,
         holds=holds, conservative=problem.options.conservative,
-        margin=problem.options.margin, estimate=est,
+        margin=margin, estimate=est,
     )
 
 

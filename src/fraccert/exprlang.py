@@ -287,12 +287,17 @@ def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
 
 
 def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
-    """Evaluate on broadcastable numpy arrays; any faulty sample raises."""
-    t, u, v = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    )
+    """Evaluate on broadcastable numpy arrays; any faulty sample raises.
+
+    Inputs may be an open grid (``np.ix_`` axes): every node runs on its
+    operands as given, and only the result is broadcast to the full shape.
+    """
+    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
+    shape = np.broadcast(t, u, v).shape
+    if 0 in shape:  # an empty grid has no samples, so none can fault
+        t, u, v = np.broadcast_arrays(t, u, v)
     res = _check_finite(_evaluate(expr, t, u, v), getattr(expr, "pos", 0), "expression")
-    return np.broadcast_to(res, t.shape)
+    return np.broadcast_to(res, shape)
 
 
 def _prec(node: Expr) -> int:
@@ -352,13 +357,11 @@ def check_nonnegative_sampled(expr: Expr, t_range, u_range, v_range, n: int = 21
     if n < 2:
         raise ValueError(f"need n >= 2 samples per axis, got {n}")
     axes = [np.linspace(float(lo), float(hi), n) for lo, hi in (t_range, u_range, v_range)]
-    tg, ug, vg = np.meshgrid(*axes, indexing="ij")
-    vals = eval_expr_array(expr, tg, ug, vg)
-    flat = int(np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
+    vals = eval_expr_array(expr, *np.ix_(*axes))
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     return NonnegativityReport(
         min_value=float(vals[idx]),
-        location=(float(tg[idx]), float(ug[idx]), float(vg[idx])),
+        location=tuple(float(axis[k]) for axis, k in zip(axes, idx)),
         samples=vals.size,
         nonnegative=bool(vals[idx] >= 0.0),
     )

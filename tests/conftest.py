@@ -8,10 +8,12 @@ for the constants again.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fraccert.exprlang import parse
 from fraccert.kernel import build_model, validate_params
@@ -22,6 +24,10 @@ P1 = (1.5, 0.2, 0.75, 0.775)
 P2 = (1.25, 0.4, 2.0 / 3.0, 41.0 / 60.0)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _golden import EXTREMUM_CASES
+from fraccert import certify
 from fraccert.certify import (
     PATTERNS,
     Box3,
@@ -138,6 +139,61 @@ class TestBoxExtremum:
         expr = parse(f"{a!r} + {b!r}*u + {c!r}*v")
         est = box_sup(expr, UNIT, grid=5, refine_rounds=2)
         assert est.value == pytest.approx(a + abs(b) + abs(c), rel=1e-12, abs=1e-12)
+
+
+def meshgrid_scan(fn, axes):
+    """Reference for certify._scan: the same argmax on a materialised mesh."""
+    tg, ug, vg = np.meshgrid(*axes, indexing="ij")
+    vals = fn(tg, ug, vg)
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[idx]), (float(tg[idx]), float(ug[idx]), float(vg[idx])), vals.size
+
+
+def on_mesh(monkeypatch, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_scan", meshgrid_scan)
+        return call()
+
+
+# Plateaus and kinks tie many samples at the extremum, so equal locations
+# pin the first (C-order) maximum on both grids.
+TIE_HEAVY = ["1", "min(1, max((u-0.2)/0.3, 0))", "abs(v)"]
+
+
+class TestOpenGridParity:
+    @pytest.mark.parametrize("extremum", [box_sup, box_inf])
+    @pytest.mark.parametrize("box", [
+        UNIT,
+        Box3((0.0, 0.775), (0.5, 2.0), (-3.0, 3.0)),
+        Box3((0.3, 0.3), (-1.0, 1.0), (0.0, 0.0)),
+    ], ids=["unit", "I0-like", "degenerate"])
+    @pytest.mark.parametrize("text", TIE_HEAVY)
+    def test_box_extremum(self, monkeypatch, extremum, box, text):
+        run = lambda: extremum(parse(text), box, lipschitz=1.5)
+        # dataclass equality: value, location, samples and lipschitz_bound
+        assert run() == on_mesh(monkeypatch, run)
+
+    @pytest.mark.parametrize("variant, f1, f2", [
+        (1, "0.1*abs(u)", "0.1*min(1, max((v-0.2)/0.3, 0))"),
+        (1, "1", "abs(v)"),
+        (2, "100*abs(u)", "1000*min(1, max((v-0.2)/0.3, 0)) + 1000*v"),
+        (2, "1", "abs(v)"),
+        (3, "0.1*abs(u)", "1000*abs(v)"),
+    ])
+    @pytest.mark.parametrize("box", [
+        Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0)),
+        Box3((0.0, 1.0), (-10.0, 10.0), (2.0, 2.0)),
+    ], ids=["square", "degenerate"])
+    def test_nonexistence(self, monkeypatch, make_problem, box, variant, f1, f2):
+        problem = make_problem(f1, f2)
+
+        def run():
+            try:
+                return check_nonexistence(problem, variant, box).conditions
+            except ConditionFailed as exc:
+                return (exc.result,)
+
+        assert run() == on_mesh(monkeypatch, run)
 
 
 class TestIndexConditions:

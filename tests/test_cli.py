@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 
@@ -338,6 +339,22 @@ class TestCertifyCommand:
         rc = main(["certify", "--config", NE_CFG, "--pattern", "NE1",
                    "--box", "1,2,3"])
         assert rc == 1
+
+    # sha256 of stdout for the README's certify commands, recorded with the
+    # materialised-mesh sampler that open-grid sampling replaced
+    @pytest.mark.parametrize("argv, code, digest", [
+        ([REF, "--pattern", "S1", "--ladder", "0.02,10"], 0,
+         "4a9045113580cb77bd29c4f4bfd560e69f44089f80c746b385ffe138b87aea18"),
+        ([REF, "--pattern", "S3", "--search", "0.001:1000:13"], 2,
+         "d937c0d63add24795d7ca7b4ae875d4556fe49ce77290e88dad5607f7fb71340"),
+        ([NE_CFG, "--pattern", "NE1", "--box=-10,10,-10,10", "--samples", "41"], 0,
+         "decea0e307216ebb543cdb78fa75692d3de737bfa208c2030a07787dcde25b31"),
+    ], ids=["S1-ladder", "S3-search", "NE1-box"])
+    def test_readme_reports_frozen(self, capsys, argv, code, digest):
+        rc = main(["certify", "--config", *argv])
+        out = capsys.readouterr().out
+        assert rc == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSolveCommand:

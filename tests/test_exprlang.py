@@ -190,6 +190,73 @@ class TestProperties:
         assert eval_expr(parse(pretty(tree)), *point) == eval_expr(tree, *point)
 
 
+# Workload-sized axes of unequal lengths, so a transposed axis shows; u
+# avoids 0 and v stays positive, so no expression below faults on them.
+_T_AXIS = np.linspace(0.0, 1.0, 33)
+_U_AXIS = np.linspace(-3.0, 3.0, 34)
+_V_AXIS = np.linspace(0.5, 2.5, 35)
+
+_MIXED = [
+    "u^2", "u^3 - t^2", "(u*v)^2", "u^-2 + v^-1", "abs(u)^v", "abs(u)^0.5 * v",
+    "t^v", "v^t", "exp(u)^t", "(2 + sin(u))^(t*v)", "(t + v)^(u/3)",
+    "u/(1 + t^2)", "(t + 1)/(v^2 + u)", "t/v - u/v",
+    "exp(t*u) - exp(v)", "log(1 + u^2 + t) * log(v)", "sqrt(abs(u*v)) + sqrt(t)",
+    "min(1, max((u - 0.2)/0.3, 0)) * v", "max(t*u, cos(v))^2",
+]
+
+
+def _both_grids(expr, t, u, v):
+    """Evaluate on the open grid and on the materialised mesh of the same axes."""
+    return (eval_expr_array(expr, *np.ix_(t, u, v)),
+            eval_expr_array(expr, *np.meshgrid(t, u, v, indexing="ij")))
+
+
+class TestOpenGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(_trees)
+    def test_random_trees_match_mesh(self, tree):
+        open_vals, mesh_vals = _both_grids(tree, _T_AXIS, _U_AXIS, _V_AXIS)
+        assert open_vals.shape == (33, 34, 35)
+        assert np.array_equal(open_vals, mesh_vals)
+
+    @pytest.mark.parametrize("text", _MIXED)
+    def test_mixed_expressions_match_mesh(self, text):
+        open_vals, mesh_vals = _both_grids(parse(text), _T_AXIS, _U_AXIS, _V_AXIS)
+        assert open_vals.shape == (33, 34, 35)
+        assert np.array_equal(open_vals, mesh_vals)
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("1/u", DivisionByZero),
+            ("log(u)", DomainError),
+            ("sqrt(v)", DomainError),
+            ("(u-2)^0.5", DomainError),
+            ("exp(1000*u)", Overflow),
+            ("t/(u*v)", DivisionByZero),
+            ("1/u + log(v)", DivisionByZero),
+            ("log(v) + 1/u", DomainError),
+        ],
+    )
+    def test_faults_match_mesh(self, text, err):
+        # u holds 0 and negatives, v a negative: every case faults somewhere
+        axes = (np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 3.0, 5), np.linspace(-1.0, 1.0, 3))
+        expr = parse(text)
+        with pytest.raises(err) as on_open:
+            eval_expr_array(expr, *np.ix_(*axes))
+        with pytest.raises(err) as on_mesh:
+            eval_expr_array(expr, *np.meshgrid(*axes, indexing="ij"))
+        assert type(on_open.value) is type(on_mesh.value)
+        assert on_open.value.position == on_mesh.value.position
+
+    def test_empty_axis_does_not_fault(self):
+        # the grid has no samples, so the 0 on the u axis is never evaluated
+        expr = parse("1/u")
+        out = eval_expr_array(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
+        assert out.shape == (0, 1, 1)
+        assert eval_expr_array(expr, np.empty(0), 0.0, 0.0).shape == (0,)
+
+
 class TestNonnegativity:
     def test_negative_sample_found(self):
         rep = check_nonnegative_sampled(parse("u"), (0.0, 1.0), (-1.0, 1.0), (0.0, 0.0))
