@@ -17,8 +17,8 @@ from .certify import (Box3, Certificate, CertificateInvalid, ConditionFailed,
 from .exprlang import (EvalError, Expr, ExprError, eval_expr, eval_expr_array,
                        parse, pretty)
 from .kernel import (BoundReport, KernelBoundError, KernelModel, ParamError,
-                     ProblemParams, build_model, compute_c, kernel_eval,
-                     phi_eval, validate_params, verify_kernel_bounds)
+                     ProblemParams, build_model, compute_c, kernel_values,
+                     phi_values, validate_params, verify_kernel_bounds)
 from .problem import Options, Problem
 from .quadrature import (ConstantsReport, compute_constants, compute_hat_constants,
                          compute_M, compute_m)
@@ -72,9 +72,9 @@ __all__ = [
     "eval_expr_array",
     "gamma",
     "interpolate_nodes",
-    "kernel_eval",
+    "kernel_values",
     "parse",
-    "phi_eval",
+    "phi_values",
     "pretty",
     "revalidate_certificate",
     "search_certificate",

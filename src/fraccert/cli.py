@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .certify import (Box3, Certificate, ConditionFailed, ExtremumEstimate,
-                      LadderOrderViolation, PATTERNS, check_nonexistence,
+                      LadderOrderViolation, PATTERNS, box_inf, check_nonexistence,
                       check_pattern, search_certificate)
-from .exprlang import EvalError, ExprError, check_nonnegative_sampled, parse
+from .exprlang import EvalError, ExprError, parse
 from .kernel import (KernelBoundError, ParamError, ProblemParams, check_params,
                      default_interval_end, kernel_values, phi_values,
                      validate_params)
@@ -358,12 +358,10 @@ def _nonneg_warnings(problem: Problem, cert: Certificate) -> list[str]:
         if key in seen:
             continue
         seen.add(key)
-        rep = check_nonnegative_sampled(problem.f[cond.equation - 1],
-                                        cond.box.t_range, cond.box.u_range,
-                                        cond.box.v_range)
-        if not rep.nonnegative:
+        rep = box_inf(problem.f[cond.equation - 1], cond.box, grid=21, refine_rounds=0)
+        if rep.value < 0.0:
             warnings.append(
-                f"f{cond.equation} sampled negative ({rep.min_value:.6g} at "
+                f"f{cond.equation} sampled negative ({rep.value:.6g} at "
                 f"t={rep.location[0]:.6g}, u={rep.location[1]:.6g}, "
                 f"v={rep.location[2]:.6g}); the theory assumes f >= 0 there"
             )
@@ -539,15 +537,14 @@ def _cmd_kernel(args) -> int:
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     p = problem_cfg.params[args.which - 1]
-    ts = np.linspace(0.0, 1.0, args.grid)
-    ss = np.linspace(0.0, 1.0, args.grid)
-    phis = phi_values(p, ss)
+    grid = np.linspace(0.0, 1.0, args.grid)
+    table = kernel_values(p, grid[:, None], grid)
+    phis = phi_values(p, grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "s", "k", "phi"])
-    for t in ts:
-        ks = kernel_values(p, float(t), ss)
-        for s, k, phi in zip(ss, ks, phis):
+    for t, ks in zip(grid, table):
+        for s, k, phi in zip(grid, ks, phis):
             writer.writerow([_fmt_float(float(t)), _fmt_float(float(s)),
                              _fmt_float(float(k)), _fmt_float(float(phi))])
     _write_atomic(Path(args.out), buf.getvalue())
@@ -630,7 +627,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"  {msg}\n")
         return 1
     except (ParamError, KernelBoundError, ExprError, EvalError, LadderOrderViolation,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -36,8 +36,6 @@ __all__ = [
     "eval_expr",
     "eval_expr_array",
     "pretty",
-    "NonnegativityReport",
-    "check_nonnegative_sampled",
 ]
 
 
@@ -336,32 +334,3 @@ def pretty(expr: Expr) -> str:
                 rhs = f"({rhs})"
         return f"{lhs} {expr.op} {rhs}"
     return f"{expr.fn}({', '.join(pretty(a) for a in expr.args)})"
-
-
-@dataclass(frozen=True)
-class NonnegativityReport:
-    """Sampled sign check of an expression over a box."""
-
-    min_value: float
-    location: tuple[float, float, float]
-    samples: int
-    nonnegative: bool
-
-
-def check_nonnegative_sampled(expr: Expr, t_range, u_range, v_range, n: int = 21) -> NonnegativityReport:
-    """Sample an n^3 grid over the box and report the minimum found.
-
-    Advisory only: a nonnegative report does not prove nonnegativity.
-    Evaluation faults propagate as EvalError.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples per axis, got {n}")
-    axes = [np.linspace(float(lo), float(hi), n) for lo, hi in (t_range, u_range, v_range)]
-    vals = eval_expr_array(expr, *np.ix_(*axes))
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return NonnegativityReport(
-        min_value=float(vals[idx]),
-        location=tuple(float(axis[k]) for axis, k in zip(axes, idx)),
-        samples=vals.size,
-        nonnegative=bool(vals[idx] >= 0.0),
-    )

@@ -111,7 +111,7 @@ def test_criterion_3_randomized_kernel_bounds():
         accepted.append(validate_params(alpha, beta, eta, b))
     for params in accepted:
         model = build_model(params)
-        report = verify_kernel_bounds(model, 101, 101)
+        report = verify_kernel_bounds(model)
         assert report.passed, (params, report)
         assert 0.0 < model.c <= 1.0
     assert len(accepted) == 50

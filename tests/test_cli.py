@@ -484,6 +484,14 @@ class TestDispatch:
         assert main(["constants", "--config", "/nonexistent/cfg.json"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_grid_is_one_error_line(self, capsys):
+        # 100000^3 float64 samples are 7.11 PiB; numpy refuses before allocating
+        rc = main(["certify", "--config", REF, "--pattern", "NE1", "--samples", "100000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Unable to allocate" in err
+
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))
         assert main(["constants", "--config", cfg]) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _golden import ERROR_CASES, EVAL_CASES
+from fraccert.certify import Box3, box_inf
 from fraccert.exprlang import (
     ArityError,
     Bin,
@@ -21,7 +22,6 @@ from fraccert.exprlang import (
     Unary,
     UnknownIdentifier,
     Var,
-    check_nonnegative_sampled,
     eval_expr,
     eval_expr_array,
     parse,
@@ -257,20 +257,46 @@ class TestOpenGrid:
         assert eval_expr_array(expr, np.empty(0), 0.0, 0.0).shape == (0,)
 
 
+def nonneg_check(text, box, grid=21):
+    """The sampled sign check run on certified boxes: a single 21^3 scan."""
+    return box_inf(parse(text), box, grid=grid, refine_rounds=0)
+
+
+def argmin_reference(text, box, n=21):
+    """First minimum of the expression on the full n^3 meshgrid (degenerate
+    axes repeat their point n times)."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in (box.t_range, box.u_range, box.v_range)]
+    vals = eval_expr_array(parse(text), *np.meshgrid(*axes, indexing="ij"))
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx))
+
+
 class TestNonnegativity:
     def test_negative_sample_found(self):
-        rep = check_nonnegative_sampled(parse("u"), (0.0, 1.0), (-1.0, 1.0), (0.0, 0.0))
-        assert not rep.nonnegative
-        assert rep.min_value == -1.0
+        rep = nonneg_check("u", Box3((0.0, 1.0), (-1.0, 1.0), (0.0, 0.0)))
+        assert rep.value < 0.0
+        assert rep.value == -1.0
         assert rep.location[1] == -1.0
 
     def test_nonnegative_square(self):
-        rep = check_nonnegative_sampled(parse("u^2"), (0.0, 1.0), (-1.0, 1.0), (0.0, 0.0))
-        assert rep.nonnegative
-        assert rep.min_value == 0.0
+        rep = nonneg_check("u^2", Box3((0.0, 1.0), (-1.0, 1.0), (0.0, 0.0)))
+        assert rep.value >= 0.0
+        assert rep.value == 0.0
 
     def test_sample_count_and_validation(self):
-        rep = check_nonnegative_sampled(parse("1"), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), n=5)
+        rep = nonneg_check("1", Box3((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), grid=5)
         assert rep.samples == 125
         with pytest.raises(ValueError):
-            check_nonnegative_sampled(parse("1"), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), n=1)
+            nonneg_check("1", Box3((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), grid=1)
+
+    @pytest.mark.parametrize("box", [
+        Box3((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+        Box3((0.0, 1.0), (-1.0, 1.0), (0.0, 0.0)),
+        Box3((0.3, 0.3), (-2.0, 0.5), (1.0, 1.0)),
+        Box3((0.5, 0.5), (0.25, 0.25), (-1.0, -1.0)),
+    ], ids=["unit", "degenerate-v", "degenerate-t-v", "point"])
+    @pytest.mark.parametrize("text", ["1", "u^2", "u", "abs(u) - 0.5", "min(u, v) * t",
+                                      "min(1, max((u-0.2)/0.3, 0)) - 0.5"])
+    def test_matches_argmin_reference(self, box, text):
+        rep = nonneg_check(text, box)
+        assert (rep.value, rep.location) == argmin_reference(text, box)
