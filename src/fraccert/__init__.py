@@ -24,7 +24,6 @@ from .quadrature import (ConstantsReport, compute_constants, compute_hat_constan
                          compute_M, compute_m)
 from .solver import (ConeReport, GridSolution, SystemGrid, apply_T, build_grid,
                      cone_metrics, interpolate_nodes, solve_picard)
-from .specialfn import GammaDomainError, gamma
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,6 @@ __all__ = [
     "Expr",
     "ExprError",
     "ExtremumEstimate",
-    "GammaDomainError",
     "GridSolution",
     "KernelBoundError",
     "KernelModel",
@@ -70,7 +68,6 @@ __all__ = [
     "cone_metrics",
     "eval_expr",
     "eval_expr_array",
-    "gamma",
     "interpolate_nodes",
     "kernel_values",
     "parse",

@@ -22,11 +22,10 @@ Alternating conditions along a strictly ordered ladder of radii yield 1,
 against m_i (below) or M_i (above) on a user box yield a nonexistence
 certificate scoped to that box (patterns NONEXIST-1/2/3).
 
-All extrema are sampled estimates: a sup estimate is a lower bound of the
-true sup, an inf estimate an upper bound of the true inf. Boxes are sampled
-on open grids (``np.ix_`` axes), never on materialised meshes. With optional
-Lipschitz constants the comparisons switch to certified one-sided bounds
-(sampled value +/- L * half cell diagonal of the covering grid).
+All extrema are sampled estimates, not proved bounds: a sup estimate is a
+lower bound of the true sup, an inf estimate an upper bound of the true
+inf. Boxes are sampled on open grids (``np.ix_`` axes), never on
+materialised meshes.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ class ExtremumEstimate:
     """Sampled extremum over a box.
 
     ``value`` is inside the true range: below the true sup for kind "sup",
-    above the true inf for kind "inf". ``lipschitz_bound``, when present,
-    is the certified bound on the other side of the truth.
+    above the true inf for kind "inf".
     """
 
     kind: str
@@ -95,7 +93,6 @@ class ExtremumEstimate:
     location: tuple[float, float, float]
     samples: int
     refine_rounds: int
-    lipschitz_bound: float | None = None
 
     @property
     def refined(self) -> bool:
@@ -113,8 +110,7 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
     return np.array([lo]) if hi <= lo else np.linspace(lo, hi, grid)
 
 
-def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float,
-                  lipschitz: float | None) -> ExtremumEstimate:
+def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> ExtremumEstimate:
     """Maximize sign * fn over the box: coarse scan plus shrinking rescans."""
     if grid < 3:
         raise ValueError(f"grid must be >= 3 points per axis, got {grid}")
@@ -123,12 +119,7 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float,
     axes = [_axis(lo, hi, grid) for lo, hi in ranges]
     best, loc, n = _scan(signed, axes)
     total = n
-    cells = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
-    bound = None
-    if lipschitz is not None:
-        half_diag = 0.5 * math.sqrt(sum(c * c for c in cells))
-        bound = best + lipschitz * half_diag
-    half = list(cells)
+    half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
     for _ in range(refine_rounds):
         if all(h < 1e-15 for h in half):
             break
@@ -141,40 +132,34 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float,
         if val > best:
             best, loc = val, where
         half = [h / 2.0 for h in half]
-    if bound is not None:
-        bound = max(bound, best)  # refinement can only raise the sampled floor
     return ExtremumEstimate(
         kind="sup" if sign > 0 else "inf",
         value=sign * best,
         location=loc,
         samples=total,
         refine_rounds=refine_rounds,
-        lipschitz_bound=None if bound is None else sign * bound,
     )
 
 
-def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8,
-            lipschitz: float | None = None) -> ExtremumEstimate:
+def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled supremum of an expression over a box (monotone under refinement)."""
     fn = lambda tg, ug, vg: eval_expr_array(expr, tg, ug, vg)
-    return _box_extremum(fn, box, grid, refine_rounds, 1.0, lipschitz)
+    return _box_extremum(fn, box, grid, refine_rounds, 1.0)
 
 
-def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8,
-            lipschitz: float | None = None) -> ExtremumEstimate:
+def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled infimum of an expression over a box (monotone under refinement)."""
     fn = lambda tg, ug, vg: eval_expr_array(expr, tg, ug, vg)
-    return _box_extremum(fn, box, grid, refine_rounds, -1.0, lipschitz)
+    return _box_extremum(fn, box, grid, refine_rounds, -1.0)
 
 
 @dataclass(frozen=True)
 class ConditionResult:
     """Outcome of one index or growth condition for one equation.
 
-    ``lhs`` is the quantity actually compared against ``threshold``: the
+    ``lhs`` is the quantity compared against ``threshold``: the sampled
     extremum of f_i / rho_i for index conditions, of the growth ratio for
-    nonexistence conditions, switched to the certified Lipschitz bound
-    when one is available.
+    nonexistence conditions.
     """
 
     kind: str  # I1 | I0 | I0star | NE1 | NE2
@@ -230,10 +215,6 @@ class Certificate:
                 )
 
 
-def _lip(problem: Problem, i: int) -> float | None:
-    return None if problem.options.lipschitz is None else problem.options.lipschitz[i - 1]
-
-
 def _i1_box(rho: tuple[float, float]) -> Box3:
     return Box3(t_range=(0.0, 1.0), u_range=(-rho[0], rho[0]), v_range=(-rho[1], rho[1]))
 
@@ -258,37 +239,40 @@ def _radii(rho) -> tuple[float, float]:
     return rho
 
 
+def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | None,
+               box: Box3, est: ExtremumEstimate) -> ConditionResult:
+    """Compare one extremum with its threshold, strictly past the margin.
+
+    A sup must lie below m_i and an inf above M_i. Index conditions divide
+    the extremum by rho_i first; growth ratios (rho None) are compared as
+    they are.
+    """
+    lhs = est.value if rho is None else est.value / rho[i - 1]
+    margin = problem.options.margin
+    if est.kind == "sup":
+        thr = problem.m_used(i)
+        holds = lhs < thr - margin
+    else:
+        thr = problem.M_used(i)
+        holds = lhs > thr + margin
+    return ConditionResult(
+        kind=kind, equation=i, rho=rho, box=box, lhs=lhs, threshold=thr, holds=holds,
+        conservative=problem.options.conservative, margin=margin, estimate=est,
+    )
+
+
 def check_I1(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResult, ConditionResult]:
     """Index-1 condition: sup f_i / rho_i < m_i for both equations."""
     rho = _radii((rho1, rho2))
     box = _i1_box(rho)
-    out = []
-    for i in (1, 2):
-        est = box_sup(problem.f[i - 1], box, lipschitz=_lip(problem, i))
-        top = est.value if est.lipschitz_bound is None else est.lipschitz_bound
-        lhs = top / rho[i - 1]
-        thr = problem.m_used(i)
-        out.append(ConditionResult(
-            kind="I1", equation=i, rho=rho, box=box, lhs=lhs, threshold=thr,
-            holds=lhs < thr - problem.options.margin,
-            conservative=problem.options.conservative,
-            margin=problem.options.margin, estimate=est,
-        ))
-    return tuple(out)
+    return tuple(_condition(problem, "I1", i, rho, box, box_sup(problem.f[i - 1], box))
+                 for i in (1, 2))
 
 
 def _check_I0_one(problem: Problem, rho: tuple[float, float], i: int, star: bool) -> ConditionResult:
     box = _i0_box(problem, rho, i, star)
-    est = box_inf(problem.f[i - 1], box, lipschitz=_lip(problem, i))
-    bottom = est.value if est.lipschitz_bound is None else est.lipschitz_bound
-    lhs = bottom / rho[i - 1]
-    thr = problem.M_used(i)
-    return ConditionResult(
-        kind="I0star" if star else "I0", equation=i, rho=rho, box=box, lhs=lhs,
-        threshold=thr, holds=lhs > thr + problem.options.margin,
-        conservative=problem.options.conservative,
-        margin=problem.options.margin, estimate=est,
-    )
+    return _condition(problem, "I0star" if star else "I0", i, rho, box,
+                      box_inf(problem.f[i - 1], box))
 
 
 def check_I0(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResult, ConditionResult]:
@@ -480,19 +464,11 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     signed_ratio = lambda tg, ug, vg: sign * (
         eval_expr_array(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg))
     best, loc, samples = _scan(signed_ratio, (t_axis, u_axis, v_axis))
-    lhs = sign * best
-    margin = problem.options.margin
-    thr = problem.m_used(i) if sign > 0 else problem.M_used(i)
-    holds = lhs < thr - margin if sign > 0 else lhs > thr + margin
     est = ExtremumEstimate(
-        kind="sup" if sign > 0 else "inf", value=lhs, location=loc,
+        kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
         samples=samples, refine_rounds=0,
     )
-    return ConditionResult(
-        kind=kind, equation=i, rho=None, box=box, lhs=lhs, threshold=thr,
-        holds=holds, conservative=problem.options.conservative,
-        margin=margin, estimate=est,
-    )
+    return _condition(problem, kind, i, None, box, est)
 
 
 def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -> Certificate:
@@ -553,5 +529,5 @@ def revalidate_certificate(problem: Problem, certificate: Certificate) -> Certif
     if certificate.pattern.startswith("NONEXIST"):
         variant = int(certificate.pattern.rsplit("-", 1)[1])
         return check_nonexistence(tight, variant, certificate.ne_box,
-                                  certificate.samples_per_axis or 41)
+                                  certificate.samples_per_axis)
     return check_pattern(tight, certificate.pattern, certificate.ladder)

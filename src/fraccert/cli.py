@@ -44,7 +44,6 @@ __all__ = [
     "load_config",
     "dumps_report",
     "certificate_to_dict",
-    "certificate_from_dict",
     "main",
     "run",
 ]
@@ -122,24 +121,12 @@ def _schema_scan(raw) -> list[str]:
     if not isinstance(opts, dict):
         errs.append("/options: must be an object")
         return errs
-    for key in sorted(set(opts) - {"conservative", "margin", "lipschitz"}):
+    for key in sorted(set(opts) - {"conservative", "margin"}):
         errs.append(f"/options/{key}: unknown key")
     if "conservative" in opts and not isinstance(opts["conservative"], bool):
         errs.append("/options/conservative: must be a boolean")
     if "margin" in opts and not _is_num(opts["margin"]):
         errs.append("/options/margin: must be a finite number")
-    lip = opts.get("lipschitz")
-    if lip is not None:
-        if not isinstance(lip, dict):
-            errs.append("/options/lipschitz: must be an object with keys L1, L2")
-        else:
-            for key in sorted(set(lip) - {"L1", "L2"}):
-                errs.append(f"/options/lipschitz/{key}: unknown key")
-            for key in ("L1", "L2"):
-                if key not in lip:
-                    errs.append(f"/options/lipschitz/{key}: required key missing")
-                elif not _is_num(lip[key]):
-                    errs.append(f"/options/lipschitz/{key}: must be a finite number")
     return errs
 
 
@@ -185,23 +172,13 @@ def load_config(path) -> ProblemConfig:
             sem.append(f"/nonlinearities/{key}: {exc}")
         f_text.append(text_i)
     opts_raw = raw.get("options", {})
-    lip_raw = opts_raw.get("lipschitz")
-    lipschitz = None
-    if lip_raw is not None:
-        lipschitz = (float(lip_raw["L1"]), float(lip_raw["L2"]))
-        if any(not L > 0.0 for L in lipschitz):
-            sem.append("/options/lipschitz: constants must be > 0")
-            lipschitz = None
     margin = float(opts_raw.get("margin", 1e-9))
     if margin < 0.0:
         sem.append("/options/margin: must be >= 0")
         margin = 0.0
     if sem:
         raise ValidationError(sem)
-    options = Options(
-        conservative=bool(opts_raw.get("conservative", True)),
-        margin=margin, lipschitz=lipschitz,
-    )
+    options = Options(conservative=bool(opts_raw.get("conservative", True)), margin=margin)
     return ProblemConfig(params=(params[0], params[1]),
                          f_text=(f_text[0], f_text[1]), options=options)
 
@@ -289,7 +266,7 @@ def _estimate_dict(est: ExtremumEstimate) -> dict:
     return {
         "kind": est.kind, "value": est.value, "location": list(est.location),
         "samples": est.samples, "refined": est.refined,
-        "refine_rounds": est.refine_rounds, "lipschitz_bound": est.lipschitz_bound,
+        "refine_rounds": est.refine_rounds,
     }
 
 
@@ -314,24 +291,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
             for cond in cert.conditions
         ],
     }
-
-
-def certificate_from_dict(problem: Problem, data: dict) -> Certificate:
-    """Rebuild and re-verify a certificate from an emitted report.
-
-    The stored pattern, ladder and nonexistence box are replayed through
-    the normal checking path, so the returned certificate's verdicts are
-    recomputed, not trusted from the file.
-    """
-    pattern = data["pattern"]
-    problem = problem.with_conservative(bool(data["conservative"]))
-    if pattern.startswith("NONEXIST"):
-        box_d = data["ne_box"]
-        box = Box3(t_range=tuple(box_d["t_range"]), u_range=tuple(box_d["u_range"]),
-                   v_range=tuple(box_d["v_range"]))
-        return check_nonexistence(problem, int(pattern.rsplit("-", 1)[1]), box,
-                                  int(data["samples_per_axis"]))
-    return check_pattern(problem, pattern, [tuple(level) for level in data["ladder"]])
 
 
 def _constants_report(problem: Problem) -> dict:
@@ -410,48 +369,34 @@ def _cmd_certify(args) -> int:
     problem = load_config(args.config).to_problem()
     report: dict = {"pattern": args.pattern, "certificate": None,
                     "conservative": problem.options.conservative, "warnings": []}
-    if args.pattern.startswith("NE"):
-        if args.ladder or args.search:
-            raise ValueError("--ladder/--search do not apply to nonexistence patterns")
-        u_lo, u_hi, v_lo, v_hi = _parse_box(args.box)
-        box = Box3(t_range=(0.0, 1.0), u_range=(u_lo, u_hi), v_range=(v_lo, v_hi))
-        variant = int(args.pattern[2])
-        try:
-            cert = check_nonexistence(problem, variant, box, args.samples)
-        except ConditionFailed as exc:
-            report["failure"] = {
-                "kind": exc.result.kind, "equation": exc.result.equation,
-                "lhs": exc.result.lhs, "threshold": exc.result.threshold,
-            }
-            _emit_json(report, args.out)
-            sys.stderr.write(f"no certificate: {exc}\n")
-            return 2
-    else:
-        levels = len(PATTERNS[args.pattern][0])
-        if (args.ladder is None) == (args.search is None):
+    try:
+        if args.pattern.startswith("NE"):
+            if args.ladder or args.search:
+                raise ValueError("--ladder/--search do not apply to nonexistence patterns")
+            u_lo, u_hi, v_lo, v_hi = _parse_box(args.box)
+            box = Box3(t_range=(0.0, 1.0), u_range=(u_lo, u_hi), v_range=(v_lo, v_hi))
+            cert = check_nonexistence(problem, int(args.pattern[2]), box, args.samples)
+        elif (args.ladder is None) == (args.search is None):
             raise ValueError("supply exactly one of --ladder or --search")
-        if args.ladder is not None:
-            ladder = _parse_ladder(args.ladder, levels)
-            try:
-                cert = check_pattern(problem, args.pattern, ladder)
-            except ConditionFailed as exc:
-                report["failure"] = {
-                    "kind": exc.result.kind, "equation": exc.result.equation,
-                    "rho": list(exc.result.rho), "lhs": exc.result.lhs,
-                    "threshold": exc.result.threshold,
-                }
-                _emit_json(report, args.out)
-                sys.stderr.write(f"no certificate: {exc}\n")
-                return 2
+        elif args.ladder is not None:
+            ladder = _parse_ladder(args.ladder, len(PATTERNS[args.pattern][0]))
+            cert = check_pattern(problem, args.pattern, ladder)
         else:
-            lo, hi, points = _parse_search(args.search)
-            found = search_certificate(problem, args.pattern, lo, hi, points)
-            if found is None:
-                report["message"] = "no certificate found"
-                _emit_json(report, args.out)
-                sys.stderr.write("no certificate found\n")
-                return 2
-            cert = found
+            cert = search_certificate(problem, args.pattern, *_parse_search(args.search))
+    except ConditionFailed as exc:
+        failed = exc.result
+        report["failure"] = {"kind": failed.kind, "equation": failed.equation,
+                             "lhs": failed.lhs, "threshold": failed.threshold}
+        if failed.rho is not None:
+            report["failure"]["rho"] = list(failed.rho)
+        _emit_json(report, args.out)
+        sys.stderr.write(f"no certificate: {exc}\n")
+        return 2
+    if cert is None:
+        report["message"] = "no certificate found"
+        _emit_json(report, args.out)
+        sys.stderr.write("no certificate found\n")
+        return 2
     report["certificate"] = certificate_to_dict(cert)
     report["warnings"] = _nonneg_warnings(problem, cert)
     _emit_json(report, args.out)

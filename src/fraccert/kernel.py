@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import gamma
 
 __all__ = [
     "ParamError",
@@ -115,7 +114,7 @@ def check_params(alpha: float, beta: float, eta: float, b: float) -> list[tuple[
         problems.append((EtaOutOfRange, f"eta must lie in [0, 1), got {eta!r}"))
     if problems:
         return problems
-    g = gamma(alpha)
+    g = math.gamma(alpha)
     if not beta * g < (1.0 - eta) ** (alpha - 1.0):
         problems.append((FocusCaseViolated,
                          f"sign-changing regime requires beta*Gamma(alpha) < (1-eta)^(alpha-1); "
@@ -168,7 +167,7 @@ def kernel_values(p: ProblemParams, t, s) -> np.ndarray:
     at its breakpoint.
     """
     s = np.asarray(s, dtype=float)
-    g = gamma(p.alpha)
+    g = math.gamma(p.alpha)
     e = p.alpha - 1.0
     return (p.beta + np.where(s <= p.eta, _power(p.eta - s, e), 0.0) / g
             - np.where(s <= t, _power(t - s, e), 0.0) / g)
@@ -177,7 +176,7 @@ def kernel_values(p: ProblemParams, t, s) -> np.ndarray:
 def phi_values(p: ProblemParams, s) -> np.ndarray:
     """Phi(s) over an array of s values; Phi(eta) = beta (closed s <= eta branch)."""
     s = np.asarray(s, dtype=float)
-    g = gamma(p.alpha)
+    g = math.gamma(p.alpha)
     e = p.alpha - 1.0
     upper = (1.0 - p.eta) ** e / g - p.beta
     return np.where(s <= p.eta, p.beta + _power(p.eta - s, e) / g, upper)
@@ -191,7 +190,7 @@ def compute_c(p: ProblemParams) -> float:
 
     where bG = beta * Gamma(alpha) and d = (b - eta)^(alpha-1).
     """
-    g = gamma(p.alpha)
+    g = math.gamma(p.alpha)
     e = p.alpha - 1.0
     bg = p.beta * g
     num = bg - (p.b - p.eta) ** e
@@ -269,7 +268,7 @@ def build_model(params: ProblemParams) -> KernelModel:
     envelope actually dominates |k|, and such tuples must be rejected here
     rather than silently producing unsound cone constants.
     """
-    model = KernelModel(params=params, c=compute_c(params), gamma_alpha=gamma(params.alpha))
+    model = KernelModel(params=params, c=compute_c(params), gamma_alpha=math.gamma(params.alpha))
     report = verify_kernel_bounds(model)
     if not report.passed:
         raise KernelBoundError(

@@ -19,20 +19,15 @@ class Options:
     thresholds; they are sound for every certificate direction since
     m_hat <= m and M_hat >= M. margin is the strict-inequality slack
     delta: a sampled sup passes below threshold - delta, an inf above
-    threshold + delta. lipschitz optionally supplies per-equation
-    Lipschitz constants for certified extremum bounds.
+    threshold + delta.
     """
 
     conservative: bool = True
     margin: float = 1e-9
-    lipschitz: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.margin >= 0.0:
             raise ValueError(f"margin must be >= 0, got {self.margin!r}")
-        if self.lipschitz is not None:
-            if len(self.lipschitz) != 2 or any(not L > 0.0 for L in self.lipschitz):
-                raise ValueError(f"lipschitz must be two positive constants, got {self.lipschitz!r}")
 
 
 @dataclass(frozen=True)

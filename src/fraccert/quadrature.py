@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import KernelModel, ProblemParams
-from .specialfn import gamma
 
 __all__ = [
     "row_crossings",
@@ -60,7 +59,7 @@ def row_crossings(p: ProblemParams, t) -> tuple[np.ndarray, np.ndarray]:
     (0, eta) is found by bisection over the whole t-array at once.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    g = gamma(p.alpha)
+    g = math.gamma(p.alpha)
     e = p.alpha - 1.0
     width = (p.beta * g) ** (1.0 / e)
     hi = np.where(t - p.eta > width, t - width, np.nan)
@@ -86,7 +85,7 @@ def abs_row_integral(p: ProblemParams, t) -> np.ndarray:
     collapses onto s = 0 and adds nothing.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    G = gamma(p.alpha + 1.0)
+    G = math.gamma(p.alpha + 1.0)
     lo, hi = row_crossings(p, t)
     z = np.stack((np.zeros_like(t), np.nan_to_num(lo), np.nan_to_num(hi), np.ones_like(t)), axis=1)
     K = (p.beta * z - np.maximum(p.eta - z, 0.0) ** p.alpha / G
@@ -143,7 +142,7 @@ def compute_M(model: KernelModel) -> tuple[float, float]:
     model whose cone bounds verified).
     """
     p = model.params
-    inf = p.beta * p.b + (p.eta ** p.alpha - p.b ** p.alpha) / gamma(p.alpha + 1.0)
+    inf = p.beta * p.b + (p.eta ** p.alpha - p.b ** p.alpha) / math.gamma(p.alpha + 1.0)
     if not inf > 0.0:
         raise ValueError(f"kernel integral lost positivity on [0, b]: inf = {inf:.3e}")
     return 1.0 / inf, p.b
@@ -158,7 +157,7 @@ def compute_hat_constants(model: KernelModel) -> tuple[float, float]:
     Conservative for the index conditions since m_hat <= m and M_hat >= M.
     """
     p = model.params
-    head = p.beta * p.eta + p.eta ** p.alpha / gamma(p.alpha + 1.0)
+    head = p.beta * p.eta + p.eta ** p.alpha / math.gamma(p.alpha + 1.0)
     upper = (1.0 - p.eta) ** (p.alpha - 1.0) / model.gamma_alpha - p.beta
     inv_m_hat = head + (1.0 - p.eta) * upper
     inv_M_hat = model.c * (head + (p.b - p.eta) * upper)

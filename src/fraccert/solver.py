@@ -192,7 +192,9 @@ class GridSolution:
     """Damped Picard outcome.
 
     ``residual_sup`` is the undamped defect max_i ||w_i - T(u, v)_i||_inf
-    of the returned state, so converged implies residual_sup <= tol.
+    of the returned state and ``tol`` the tolerance applied to it (the
+    requested one, or the rounding floor where that is larger), so
+    converged implies residual_sup <= tol.
     """
 
     grid: SystemGrid
@@ -212,10 +214,12 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     """Solve the discretized system by damped Picard iteration.
 
     Iterates x <- (1 - damping) x + damping T(x) from ``init`` (zero by
-    default) until the defect ||x - T(x)||_inf falls below ``tol``; the
-    returned state is then the last undamped iterate with its defect as
-    residual_sup. Exhausting ``max_iter`` damped updates, or a non-finite
-    defect, yields converged=False rather than an error.
+    default) until the defect ||x - T(x)||_inf falls below ``tol``, or
+    below 8 ulps of max_i ||T(x)_i||_inf where that floor is larger: a
+    defect cannot settle below the spacing of the doubles it is made of.
+    The returned state is then the last undamped iterate with its defect
+    as residual_sup. Exhausting ``max_iter`` damped updates, or a
+    non-finite defect, yields converged=False rather than an error.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping!r}")
@@ -237,11 +241,13 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     while True:
         Tu, Tv = apply_T(grid, f1, f2, u, v)
         residual = max(float(np.max(np.abs(Tu - u))), float(np.max(np.abs(Tv - v))))
-        converged = math.isfinite(residual) and residual <= tol
+        size = max(float(np.max(np.abs(Tu))), float(np.max(np.abs(Tv))))
+        applied = max(tol, 8.0 * float(np.spacing(size)))
+        converged = math.isfinite(residual) and residual <= applied
         if converged or not math.isfinite(residual) or iterations >= max_iter:
             return GridSolution(grid=grid, u_values=u, v_values=v,
                                 residual_sup=residual, iterations=iterations,
-                                converged=converged, damping=damping, tol=tol)
+                                converged=converged, damping=damping, tol=applied)
         u = (1.0 - damping) * u + damping * Tu
         v = (1.0 - damping) * v + damping * Tv
         iterations += 1

@@ -1,5 +1,6 @@
 """Box extrema, index conditions, pattern ladders and nonexistence checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,16 +119,6 @@ class TestBoxExtremum:
         assert est.value > -1e-9
         assert est.location[1] == pytest.approx(0.3141, abs=1e-4)
 
-    def test_lipschitz_bound_constant(self):
-        est = box_sup(parse("1"), UNIT, lipschitz=2.0)
-        # cell half-diagonal at 33 points: 0.5*sqrt(1 + 4 + 4)/32 = 3/64
-        assert est.value == 1.0
-        assert est.lipschitz_bound == pytest.approx(1.0 + 2.0 * 3.0 / 64.0, rel=1e-15)
-        low = box_inf(parse("1"), UNIT, lipschitz=2.0)
-        assert low.value == 1.0
-        assert low.lipschitz_bound == pytest.approx(1.0 - 2.0 * 3.0 / 64.0, rel=1e-15)
-        assert low.lipschitz_bound < low.value < est.lipschitz_bound
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(-5.0, 5.0).map(lambda x: round(x, 3)),
@@ -169,8 +160,8 @@ class TestOpenGridParity:
     ], ids=["unit", "I0-like", "degenerate"])
     @pytest.mark.parametrize("text", TIE_HEAVY)
     def test_box_extremum(self, monkeypatch, extremum, box, text):
-        run = lambda: extremum(parse(text), box, lipschitz=1.5)
-        # dataclass equality: value, location, samples and lipschitz_bound
+        run = lambda: extremum(parse(text), box)
+        # dataclass equality: value, location and samples
         assert run() == on_mesh(monkeypatch, run)
 
     @pytest.mark.parametrize("variant, f1, f2", [
@@ -281,15 +272,6 @@ class TestIndexConditions:
         problem = make_problem("0.1", "0.1")
         assert check_I1(problem, 1.0, 1.0)[0].conservative
         assert not check_I1(problem.with_conservative(False), 1.0, 1.0)[0].conservative
-
-    def test_lipschitz_certified_condition(self, make_problem):
-        problem = make_problem("1", "1", lipschitz=(0.01, 0.01))
-        res1, res2 = check_I1(problem, 1.0, 1.0)
-        for res in (res1, res2):
-            assert res.holds
-            assert res.estimate.lipschitz_bound is not None
-            assert res.lhs == pytest.approx(1.0 + 0.01 * 3.0 / 64.0, rel=1e-12)
-            assert res.lhs > res.estimate.value
 
 
 class TestPattern:
@@ -556,3 +538,8 @@ class TestRevalidation:
         assert tight.ne_box == cert.ne_box
         assert tight.samples_per_axis == cert.samples_per_axis
         assert all(c.holds for c in tight.conditions)
+
+    def test_tampered_pattern_reverified(self, base_problem):
+        cert = check_pattern(base_problem, "S1", [0.02, 10.0])
+        with pytest.raises(ConditionFailed):
+            revalidate_certificate(base_problem, dataclasses.replace(cert, pattern="S2"))

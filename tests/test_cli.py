@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
-from fraccert.certify import Box3, ConditionFailed, check_nonexistence, check_pattern
 from fraccert.cli import (
     SchemaError,
     ValidationError,
-    certificate_from_dict,
-    certificate_to_dict,
     dumps_report,
     load_config,
     main,
@@ -53,7 +50,6 @@ class TestLoadConfig:
         assert cfg.f_text == ("10", "10")
         assert cfg.options.conservative is True
         assert cfg.options.margin == 1e-9
-        assert cfg.options.lipschitz is None
 
     def test_missing_nonlinearity_is_schema_error(self, tmp_path):
         path = write_config(tmp_path, lambda c: c["nonlinearities"].pop("f2"))
@@ -141,21 +137,13 @@ class TestLoadConfig:
             load_config(path)
         assert "/options/margin" in info.value.errors[0]
 
-    def test_lipschitz_options(self, tmp_path):
+    def test_lipschitz_option_rejected(self, tmp_path, capsys):
         path = write_config(
             tmp_path, lambda c: c["options"].update(lipschitz={"L1": 0.5, "L2": 1.5}))
-        assert load_config(path).options.lipschitz == (0.5, 1.5)
-        bad = write_config(
-            tmp_path, lambda c: c["options"].update(lipschitz={"L1": 0.0, "L2": 1.0}),
-            name="bad.json")
-        with pytest.raises(ValidationError):
-            load_config(bad)
-        missing = write_config(
-            tmp_path, lambda c: c["options"].update(lipschitz={"L1": 0.5}),
-            name="missing.json")
-        with pytest.raises(SchemaError) as info:
-            load_config(missing)
-        assert any("/options/lipschitz/L2" in msg for msg in info.value.errors)
+        assert main(["constants", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "/options/lipschitz: unknown key" in captured.err
 
 
 class TestDumpsReport:
@@ -271,6 +259,17 @@ class TestCertifyCommand:
         assert report["failure"]["equation"] == 1
         assert report["failure"]["rho"] == [0.02, 0.02]
 
+    def test_nonexistence_failure_exit_2(self, capsys):
+        rc = main(["certify", "--config", NE_CFG, "--pattern", "NE2",
+                   "--box=0.01,10,0.01,10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "no certificate" in captured.err
+        report = json.loads(captured.out)
+        assert report["certificate"] is None
+        assert sorted(report["failure"]) == ["equation", "kind", "lhs", "threshold"]
+        assert report["failure"]["kind"] == "NE2"
+
     def test_ladder_violation_exit_1(self, capsys):
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "1,1"])
         assert rc == 1
@@ -340,15 +339,15 @@ class TestCertifyCommand:
                    "--box", "1,2,3"])
         assert rc == 1
 
-    # sha256 of stdout for the README's certify commands, recorded with the
-    # materialised-mesh sampler that open-grid sampling replaced
+    # sha256 of stdout for the README's certify commands, recorded with
+    # math.gamma thresholds and without the estimates' lipschitz_bound key
     @pytest.mark.parametrize("argv, code, digest", [
         ([REF, "--pattern", "S1", "--ladder", "0.02,10"], 0,
-         "4a9045113580cb77bd29c4f4bfd560e69f44089f80c746b385ffe138b87aea18"),
+         "be9b8a580ea39b9b09809f8c4960a81844210313a0fa5e8bb5ac20356b82242f"),
         ([REF, "--pattern", "S3", "--search", "0.001:1000:13"], 2,
          "d937c0d63add24795d7ca7b4ae875d4556fe49ce77290e88dad5607f7fb71340"),
         ([NE_CFG, "--pattern", "NE1", "--box=-10,10,-10,10", "--samples", "41"], 0,
-         "decea0e307216ebb543cdb78fa75692d3de737bfa208c2030a07787dcde25b31"),
+         "8155748f26fc5036a190d04038dff44817b071b796d59f1d55a1b8d703d9d0ea"),
     ], ids=["S1-ladder", "S3-search", "NE1-box"])
     def test_readme_reports_frozen(self, capsys, argv, code, digest):
         rc = main(["certify", "--config", *argv])
@@ -504,23 +503,3 @@ class TestDispatch:
             main(["--help"])
         assert info.value.code == 0
         assert "fraccert" in capsys.readouterr().out
-
-
-class TestCertificateRoundTrip:
-    def test_pattern_roundtrip(self, base_problem):
-        cert = check_pattern(base_problem, "S1", [0.02, 10.0])
-        rebuilt = certificate_from_dict(base_problem, certificate_to_dict(cert))
-        assert rebuilt == cert
-
-    def test_nonexistence_roundtrip(self, make_problem):
-        problem = make_problem("0.6*abs(u)", "0.5*abs(v)")
-        box = Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0))
-        cert = check_nonexistence(problem, 1, box)
-        rebuilt = certificate_from_dict(problem, certificate_to_dict(cert))
-        assert rebuilt == cert
-
-    def test_tampered_pattern_reverified(self, base_problem):
-        data = certificate_to_dict(check_pattern(base_problem, "S1", [0.02, 10.0]))
-        data["pattern"] = "S2"
-        with pytest.raises(ConditionFailed):
-            certificate_from_dict(base_problem, data)

@@ -189,6 +189,36 @@ class TestConeConstant:
             assert 0.0 < compute_c(p) <= 1.0
 
 
+class TestGamma:
+    # Gamma(alpha) rounded to double from 40-digit arithmetic, with one
+    # parameter tuple per order that build_model accepts
+    GAMMA_REFERENCE = [
+        ((1.1, 0.05, 0.04, 0.04), 0.9513507698668731836292487177265402192551),
+        ((1.25, 0.05, 0.75, 0.75), 0.9064024770554770779826712889669180007488),
+        ((1.5, 0.2, 0.75, 0.75), 0.8862269254527580136490837416705725913988),
+        ((1.75, 0.3, 0.5, 0.5), 0.9190625268488832338468237275221678951384),
+        ((1.9, 0.4, 0.25, 0.25), 0.9617658319073874194075748021250327003528),
+        ((2.0, 0.48, 0.04, 0.04), 1.0),
+    ]
+
+    @pytest.mark.parametrize("tup, expected", GAMMA_REFERENCE)
+    def test_gamma_alpha_reference(self, tup, expected):
+        model = build_model(validate_params(*tup))
+        assert model.gamma_alpha == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf, -math.inf, 1.0, 2.5])
+    def test_gamma_domain_unreachable(self, monkeypatch, bad):
+        # every order outside (1, 2] is rejected before Gamma is evaluated,
+        # so the package needs no Gamma domain errors of its own
+        def no_gamma(x):
+            raise AssertionError(f"Gamma evaluated at {x!r}")
+
+        monkeypatch.setattr(math, "gamma", no_gamma)
+        assert check_params(bad, 0.2, 0.75, 0.775)
+        with pytest.raises(ParamError):
+            validate_params(bad, 0.2, 0.75, 0.775)
+
+
 class TestBounds:
     def test_reference_models_pass(self, model1, model2):
         for model in (model1, model2):

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraccert.kernel import KernelModel, ProblemParams, compute_c, validate_params
+from fraccert.kernel import KernelModel, ProblemParams, build_model, compute_c, validate_params
 from fraccert.quadrature import (
     ConstantsReport,
     abs_row_integral,
+    compute_M,
     compute_constants,
     compute_hat_constants,
     compute_m,
     row_crossings,
 )
-from fraccert.specialfn import gamma
 
 
 def phi_integral(p, x: float) -> float:
@@ -174,6 +174,19 @@ class TestConstants:
             assert 1.0 / rep.M == pytest.approx(inv_M, rel=1e-9)
             assert rep.t_star_M == pytest.approx(p.b, abs=1e-6)
 
+    @pytest.mark.parametrize("tup", [
+        (2.0, 0.48, 0.04, 0.19),
+        (2.0, 0.05, 0.9, 0.92),
+        (2.0, 0.12, 0.75, 0.83),
+        (2.0, 0.06, 0.88, 0.94),
+        (2.0, 0.33, 0.34, 0.57),
+    ])
+    def test_M_order_two_exact(self, tup):
+        # Gamma(3) = 2 is exact, so 1/M = beta*b + (eta^2 - b^2)/2 bit for bit
+        _, beta, eta, b = tup
+        M, _ = compute_M(build_model(validate_params(*tup)))
+        assert M == 1.0 / (beta * b + (eta ** 2 - b ** 2) / 2.0)
+
     def test_frozen_values(self, constants1, constants2):
         assert constants1.m == pytest.approx(1.45221660205, rel=1e-9)
         assert constants1.M == pytest.approx(7.67062889351, rel=1e-9)
@@ -199,7 +212,7 @@ class TestConstants:
     def test_sup_away_from_zero(self):
         # here the row integral peaks at t = 1, not at t = 0
         p = ONE_CROSSING
-        model = KernelModel(params=p, c=compute_c(p), gamma_alpha=gamma(p.alpha))
+        model = KernelModel(params=p, c=compute_c(p), gamma_alpha=math.gamma(p.alpha))
         m, t_star = compute_m(model)
         rows = [brute_integral(p, t) for t in np.linspace(0.0, 1.0, 21)]
         assert int(np.argmax(rows)) == 20

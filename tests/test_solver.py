@@ -19,7 +19,7 @@ from fraccert.solver import (
     interpolate_nodes,
     solve_picard,
 )
-from fraccert.specialfn import gamma
+from test_certify import S6_F1, S6_F2
 
 
 def row_integral(params, t, degree=0):
@@ -28,7 +28,7 @@ def row_integral(params, t, degree=0):
     factor = math.factorial(degree)
     return (params.beta / (degree + 1)
             + factor * (params.eta ** (a + degree) - t ** (a + degree))
-            / gamma(a + degree + 1))
+            / math.gamma(a + degree + 1))
 
 
 def oracle_weights(params, nodes, levels=40, order=10):
@@ -55,7 +55,7 @@ def oracle_weights(params, nodes, levels=40, order=10):
 def unverified_model(alpha, beta, eta, b):
     """A kernel model for the weights alone, without the sampled envelope check."""
     params = validate_params(alpha, beta, eta, b)
-    return KernelModel(params=params, c=compute_c(params), gamma_alpha=gamma(alpha))
+    return KernelModel(params=params, c=compute_c(params), gamma_alpha=math.gamma(alpha))
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ class TestGrid:
     @given(st.floats(1.01, 2.0), st.floats(0.1, 0.9), st.floats(0.1, 0.9))
     def test_weights_match_oracle_over_alpha(self, alpha, eta, frac):
         # b = eta adds no breakpoint of its own; beta is a fraction of its bound
-        beta = frac * (1.0 - eta) ** (alpha - 1.0) / gamma(alpha)
+        beta = frac * (1.0 - eta) ** (alpha - 1.0) / math.gamma(alpha)
         model = unverified_model(alpha, beta, eta, eta)
         grid = build_grid((model, model), 16)
         oracle = oracle_weights(model.params, grid.nodes)
@@ -224,6 +224,7 @@ class TestPicard:
         f2 = parse("0.3*sin(u + v) + 0.5")
         sol = solve_picard(grid16, f1, f2, tol=1e-12)
         assert sol.converged
+        assert sol.tol == 1e-12  # the rounding floor lies far below
         Tu, Tv = apply_T(grid16, f1, f2, sol.u_values, sol.v_values)
         redone = max(np.max(np.abs(Tu - sol.u_values)), np.max(np.abs(Tv - sol.v_values)))
         assert redone == pytest.approx(sol.residual_sup, abs=1e-14)
@@ -244,6 +245,19 @@ class TestPicard:
         assert sol.iterations == 60
         assert math.isfinite(sol.residual_sup)
         assert sol.residual_sup > 1.0
+
+    def test_large_state_stops_at_rounding_floor(self, model1, model2):
+        # from 1e4 the S6 plateaus lift ||v|| to ~4.7e6, where one ulp is
+        # 9.3e-10: an absolute 1e-12 cannot be met, the 8-ulp floor can
+        grid = build_grid((model1, model2), 201)
+        start = np.full(grid.nodes.size, 1e4)
+        f1, f2 = parse(S6_F1), parse(S6_F2)
+        sol = solve_picard(grid, f1, f2, init=(start, start), tol=1e-12, max_iter=3000)
+        assert sol.converged and sol.iterations < 100
+        Tu, Tv = apply_T(grid, f1, f2, sol.u_values, sol.v_values)
+        size = max(np.max(np.abs(Tu)), np.max(np.abs(Tv)))
+        assert sol.tol == 8.0 * np.spacing(size) > 1e-12
+        assert sol.residual_sup <= sol.tol
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -361,7 +375,7 @@ class TestConvergenceOrder:
             sol = solve_picard(grid, ONE, ONE, damping=1.0)
             t1 = float(grid.nodes[1])
             slopes[n] = (sol.u_values[1] - sol.u_values[0]) / t1
-            assert slopes[n] == pytest.approx(-t1 ** (a - 1.0) / gamma(a + 1.0),
+            assert slopes[n] == pytest.approx(-t1 ** (a - 1.0) / math.gamma(a + 1.0),
                                               rel=1e-6)
         ratio = slopes[128] / slopes[32]
         assert 0.45 < ratio < 0.55
