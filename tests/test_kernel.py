@@ -206,6 +206,11 @@ class TestGamma:
         model = build_model(validate_params(*tup))
         assert model.gamma_alpha == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    def test_half_integer_identity(self):
+        # Gamma(1/2 + 1) = sqrt(pi)/2, carried by every model of order 3/2
+        model = build_model(validate_params(1.5, 0.2, 0.75, 0.75))
+        assert model.gamma_alpha == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf, -math.inf, 1.0, 2.5])
     def test_gamma_domain_unreachable(self, monkeypatch, bad):
         # every order outside (1, 2] is rejected before Gamma is evaluated,
