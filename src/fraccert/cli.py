@@ -411,6 +411,8 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise ValueError("--init const form expects const:a,b")
         a, b = float(parts[0]), float(parts[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"--init values must be finite, got {text!r}")
         return np.full(grid.nodes.size, a), np.full(grid.nodes.size, b)
     if text.startswith("file:"):
         path = Path(text[len("file:"):])
@@ -418,15 +420,13 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"t", "u", "v"} <= set(reader.fieldnames):
                 raise ValueError(f"--init file {path} must have columns t,u,v")
-            rows = [(float(r["t"]), float(r["u"]), float(r["v"])) for r in reader]
+            rows = np.array(sorted((float(r["t"]), float(r["u"]), float(r["v"])) for r in reader))
         if len(rows) < 4:
             raise ValueError(f"--init file {path} needs at least 4 rows")
-        rows.sort()
-        ts = np.array([r[0] for r in rows])
-        us = np.array([r[1] for r in rows])
-        vs = np.array([r[2] for r in rows])
-        return (interpolate_nodes(ts, us, grid.nodes),
-                interpolate_nodes(ts, vs, grid.nodes))
+        if not np.isfinite(rows).all():
+            raise ValueError(f"--init file {path} holds a non-finite value")
+        ts, us, vs = rows.T
+        return interpolate_nodes(ts, us, grid.nodes), interpolate_nodes(ts, vs, grid.nodes)
     raise ValueError("--init expects const:a,b or file:path.csv")
 
 

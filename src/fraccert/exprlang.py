@@ -4,14 +4,16 @@ Variables: t, u, v. Operators: + - * / ^ (power, right-associative) and
 unary minus, with precedence ^ > unary- > * / > + -. Functions: abs, sqrt,
 exp, log, sin, cos (unary) and min, max (binary).
 
-Evaluation never returns a non-finite number: division by zero, domain
-faults (sqrt/log of a negative, negative base with a non-integer exponent)
-and overflow raise typed EvalError subclasses carrying the byte offset of
-the offending token.
+Literals and inputs must be finite; evaluation then never returns a
+non-finite number: division by zero, domain faults (sqrt/log of a negative,
+negative base with a non-integer exponent) and overflow, found by the
+floating-point flags they raise inside one errstate block, raise typed
+EvalError subclasses carrying the byte offset of the offending token.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -164,7 +166,10 @@ class _Tokens:
 def _parse_prefix(ts: _Tokens) -> Expr:
     kind, val, pos = ts.next()
     if kind == "num":
-        return Num(float(val), pos)
+        value = float(val)
+        if math.isinf(value):
+            raise ExprSyntaxError(f"number {val!r} is out of range", pos)
+        return Num(value, pos)
     if kind == "ident":
         if ts.peek()[1] == "(":
             if val not in FUNCTIONS:
@@ -216,72 +221,57 @@ def parse(text: str) -> Expr:
     return expr
 
 
-def _check_finite(res, node_pos: int, what: str):
-    if not np.all(np.isfinite(res)):
-        raise Overflow(f"{what} overflowed to a non-finite value", node_pos)
-    return res
+# The ufunc each node applies; "^" is _power and unary minus np.negative.
+_UFUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "abs": np.absolute, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+    "sin": np.sin, "cos": np.cos, "min": np.minimum, "max": np.maximum,
+}
+_OP_NAMES = {"+": "addition", "-": "subtraction", "*": "multiplication", "/": "division",
+             "^": "power"}
 
 
-def _evaluate(node: Expr, t, u, v):
+def _power(a, b, pos: int):
+    # sign * |a|**b, not np.power: it keeps (-0.0)^3 = +0.0 and scalar ** bits
+    neg_base = a < 0.0
+    if np.any(neg_base & (b != np.floor(b))):
+        raise DomainError("negative base with a non-integer exponent", pos)
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise DivisionByZero("zero base with a negative exponent", pos)
+    return np.where(neg_base & (b % 2.0 != 0.0), -1.0, 1.0) * np.abs(a) ** b
+
+
+def _fault(op: str, args, pos: int) -> EvalError:
+    """Name the fault behind a floating-point flag raised at node ``op``."""
+    if op == "/" and np.any(args[1] == 0.0):
+        return DivisionByZero("division by zero", pos)
+    if op == "sqrt":
+        return DomainError("sqrt of a negative number", pos)
+    if op == "log":
+        return DomainError("log of a non-positive number", pos)
+    return Overflow(f"{_OP_NAMES.get(op, op)} overflowed to a non-finite value", pos)
+
+
+def _evaluate(node: Expr, env: dict):
     if isinstance(node, Num):
         return np.asarray(node.value, dtype=float)
     if isinstance(node, Var):
-        return np.asarray({"t": t, "u": u, "v": v}[node.name], dtype=float)
+        return env[node.name]
     if isinstance(node, Unary):
-        return -_evaluate(node.operand, t, u, v)
+        return np.negative(_evaluate(node.operand, env))
     if isinstance(node, Bin):
-        a = _evaluate(node.left, t, u, v)
-        b = _evaluate(node.right, t, u, v)
-        if node.op == "+":
-            return _check_finite(a + b, node.pos, "addition")
-        if node.op == "-":
-            return _check_finite(a - b, node.pos, "subtraction")
-        if node.op == "*":
-            return _check_finite(a * b, node.pos, "multiplication")
-        if node.op == "/":
-            if np.any(b == 0.0):
-                raise DivisionByZero("division by zero", node.pos)
-            with np.errstate(over="ignore"):
-                return _check_finite(a / b, node.pos, "division")
-        # power: negative base requires an integer exponent to stay real
-        neg_base = a < 0.0
-        if np.any(neg_base & (b != np.floor(b))):
-            raise DomainError("negative base with a non-integer exponent", node.pos)
-        if np.any((a == 0.0) & (b < 0.0)):
-            raise DivisionByZero("zero base with a negative exponent", node.pos)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = np.where(neg_base, np.sign(np.where(b % 2.0 == 0.0, 1.0, -1.0)), 1.0) * (
-                np.abs(a) ** b
-            )
-        return _check_finite(res, node.pos, "power")
-    a = _evaluate(node.args[0], t, u, v)
-    if node.fn == "abs":
-        return np.abs(a)
-    if node.fn == "sqrt":
-        if np.any(a < 0.0):
-            raise DomainError("sqrt of a negative number", node.pos)
-        return np.sqrt(a)
-    if node.fn == "exp":
-        with np.errstate(over="ignore"):
-            return _check_finite(np.exp(a), node.pos, "exp")
-    if node.fn == "log":
-        if np.any(a <= 0.0):
-            raise DomainError("log of a non-positive number", node.pos)
-        return np.log(a)
-    if node.fn == "sin":
-        return np.sin(a)
-    if node.fn == "cos":
-        return np.cos(a)
-    b = _evaluate(node.args[1], t, u, v)
-    if node.fn == "min":
-        return np.minimum(a, b)
-    return np.maximum(a, b)
+        op, args = node.op, (_evaluate(node.left, env), _evaluate(node.right, env))
+    else:
+        op, args = node.fn, tuple(_evaluate(arg, env) for arg in node.args)
+    try:
+        return _power(*args, node.pos) if op == "^" else _UFUNCS[op](*args)
+    except FloatingPointError:
+        raise _fault(op, args, node.pos) from None
 
 
 def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
-    """Evaluate at a point; returns a finite float or raises an EvalError."""
-    res = _evaluate(expr, float(t), float(u), float(v))
-    return float(_check_finite(res, getattr(expr, "pos", 0), "expression"))
+    """Evaluate at a finite point; returns a finite float or raises an EvalError."""
+    return float(eval_expr_array(expr, t, u, v))
 
 
 def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
@@ -289,12 +279,19 @@ def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
 
     Inputs may be an open grid (``np.ix_`` axes): every node runs on its
     operands as given, and only the result is broadcast to the full shape.
+    Inputs must be finite (else ValueError). The tree runs in one errstate
+    block that raises on overflow, division by zero and invalid operations,
+    the only ways from finite operands to a non-finite value; the first
+    node to raise is the fault, named at its offset.
     """
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
     shape = np.broadcast(t, u, v).shape
     if 0 in shape:  # an empty grid has no samples, so none can fault
         t, u, v = np.broadcast_arrays(t, u, v)
-    res = _check_finite(_evaluate(expr, t, u, v), getattr(expr, "pos", 0), "expression")
+    if not all(np.isfinite(x).all() for x in (t, u, v)):
+        raise ValueError("t, u and v must be finite")
+    with np.errstate(all="raise", under="ignore"):
+        res = _evaluate(expr, {"t": t, "u": u, "v": v})
     return np.broadcast_to(res, shape)
 
 

@@ -80,7 +80,7 @@ class FocusCaseViolated(ParamError):
 
 
 class IntervalChoiceViolated(ParamError):
-    """b outside [eta, 1) or beta * Gamma(alpha) > (b - eta)^(alpha-1) fails."""
+    """b <= 0, b outside [eta, 1) or beta * Gamma(alpha) > (b - eta)^(alpha-1) fails."""
 
 
 class KernelBoundError(RuntimeError):
@@ -120,9 +120,10 @@ def check_params(alpha: float, beta: float, eta: float, b: float) -> list[tuple[
                          f"sign-changing regime requires beta*Gamma(alpha) < (1-eta)^(alpha-1); "
                          f"got {beta * g:.6g} >= {(1.0 - eta) ** (alpha - 1.0):.6g}"))
         return problems
-    if not eta <= b < 1.0:
+    if not (eta <= b < 1.0 and b > 0.0):
         problems.append((IntervalChoiceViolated,
-                         f"interval end b must lie in [eta, 1) = [{eta!r}, 1), got {b!r}"))
+                         f"interval end b must be > 0 and lie in [eta, 1) = [{eta!r}, 1), "
+                         f"got {b!r}"))
         return problems
     if not beta * g > (b - eta) ** (alpha - 1.0):
         problems.append((IntervalChoiceViolated,

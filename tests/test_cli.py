@@ -427,6 +427,19 @@ class TestSolveCommand:
                    "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("init", ["const:nan,0", "const:1e999,0", "const:0,-inf", "file"])
+    def test_non_finite_init_exit_1(self, tmp_path, init, capsys):
+        if init == "file":
+            bad = tmp_path / "nan.csv"
+            bad.write_text("t,u,v\n0,1,1\n0.25,1,1\n0.5,nan,1\n1,1,1\n", encoding="utf-8")
+            init = f"file:{bad}"
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", REF, "--grid", "16", "--init", init, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ValueError: --init") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_init_file_needs_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -497,6 +510,26 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "config rejected:" in err
         assert "/equations/0" in err
+
+    @pytest.mark.parametrize("command", [["constants"], ["solve", "--grid", "16"]])
+    def test_point_interval_rejected(self, tmp_path, capsys, command):
+        # eta = b = 0 makes [0, b] a point; both commands reject it as config
+        cfg = write_config(tmp_path, lambda c: c["equations"][0].update(eta=0.0, b=0.0))
+        argv = [command[0], "--config", cfg, *command[1:]]
+        if command[0] == "solve":
+            argv += ["--out", str(tmp_path / "sol.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config rejected:" in err
+        assert "/equations/0: interval end b must be > 0" in err
+
+    def test_out_of_range_literal_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f2="1/1e999"))
+        assert main(["constants", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config rejected:" in captured.err
+        assert "/nonlinearities/f2: number '1e999' is out of range (at offset 2)" in captured.err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,5 +1,7 @@
 """Expression parsing, evaluation, rendering and sampled sign checks."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +82,23 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError) as info:
             parse("1 @ 2")
         assert info.value.position == 2
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("1e999", 0), ("1 + 1e999", 4), ("1/1e999", 2), ("min(1, 1e999)", 7),
+         ("-1e400", 1), ("u^2e308", 2)],
+    )
+    def test_out_of_range_literal(self, text, offset):
+        # a literal that rounds to +-inf is rejected where it stands, so no
+        # evaluation ever starts from a non-finite number
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert info.value.position == offset
+        assert "out of range" in str(info.value)
+
+    def test_extreme_finite_literals(self):
+        assert eval_expr(parse("1.7976931348623157e308"), 0, 0, 0) == np.finfo(float).max
+        assert eval_expr(parse("1e-400"), 0, 0, 0) == 0.0  # underflow is not a fault
 
 
 class TestEvaluation:
@@ -255,6 +274,181 @@ class TestOpenGrid:
         out = eval_expr_array(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
         assert out.shape == (0, 1, 1)
         assert eval_expr_array(expr, np.empty(0), 0.0, 0.0).shape == (0,)
+
+
+# The checked walker the flag-based evaluator replaced, kept as the parity
+# reference: a finiteness scan after every operation that can overflow,
+# explicit divisor and domain pre-checks, and a scan of the root.
+def _check_finite(res, node_pos, what):
+    if not np.all(np.isfinite(res)):
+        raise Overflow(f"{what} overflowed to a non-finite value", node_pos)
+    return res
+
+
+def _evaluate(node, t, u, v):
+    if isinstance(node, Num):
+        return np.asarray(node.value, dtype=float)
+    if isinstance(node, Var):
+        return np.asarray({"t": t, "u": u, "v": v}[node.name], dtype=float)
+    if isinstance(node, Unary):
+        return -_evaluate(node.operand, t, u, v)
+    if isinstance(node, Bin):
+        a = _evaluate(node.left, t, u, v)
+        b = _evaluate(node.right, t, u, v)
+        if node.op == "+":
+            return _check_finite(a + b, node.pos, "addition")
+        if node.op == "-":
+            return _check_finite(a - b, node.pos, "subtraction")
+        if node.op == "*":
+            return _check_finite(a * b, node.pos, "multiplication")
+        if node.op == "/":
+            if np.any(b == 0.0):
+                raise DivisionByZero("division by zero", node.pos)
+            return _check_finite(a / b, node.pos, "division")
+        neg_base = a < 0.0
+        if np.any(neg_base & (b != np.floor(b))):
+            raise DomainError("negative base with a non-integer exponent", node.pos)
+        if np.any((a == 0.0) & (b < 0.0)):
+            raise DivisionByZero("zero base with a negative exponent", node.pos)
+        res = np.where(neg_base, np.sign(np.where(b % 2.0 == 0.0, 1.0, -1.0)), 1.0) * (
+            np.abs(a) ** b
+        )
+        return _check_finite(res, node.pos, "power")
+    a = _evaluate(node.args[0], t, u, v)
+    if node.fn == "abs":
+        return np.abs(a)
+    if node.fn == "sqrt":
+        if np.any(a < 0.0):
+            raise DomainError("sqrt of a negative number", node.pos)
+        return np.sqrt(a)
+    if node.fn == "exp":
+        return _check_finite(np.exp(a), node.pos, "exp")
+    if node.fn == "log":
+        if np.any(a <= 0.0):
+            raise DomainError("log of a non-positive number", node.pos)
+        return np.log(a)
+    if node.fn == "sin":
+        return np.sin(a)
+    if node.fn == "cos":
+        return np.cos(a)
+    b = _evaluate(node.args[1], t, u, v)
+    if node.fn == "min":
+        return np.minimum(a, b)
+    return np.maximum(a, b)
+
+
+def scanned_eval(expr, t, u, v):
+    """The reference evaluation; its overflows run silently into the scans."""
+    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
+    shape = np.broadcast(t, u, v).shape
+    with np.errstate(all="ignore"):
+        res = _check_finite(_evaluate(expr, t, u, v), expr.pos, "expression")
+    return np.broadcast_to(res, shape)
+
+
+def _outcome(evaluate, expr, inputs):
+    try:
+        res = evaluate(expr, *inputs)
+    except EvalError as exc:
+        return type(exc), exc.position, str(exc)
+    return "value", res.shape, res.tobytes()
+
+
+def _numbered(tree):
+    """The tree with a distinct offset on every node, in pre-order."""
+    counter = itertools.count()
+
+    def walk(node):
+        pos = next(counter)
+        if isinstance(node, Unary):
+            return Unary("-", walk(node.operand), pos)
+        if isinstance(node, Bin):
+            return Bin(node.op, walk(node.left), walk(node.right), pos)
+        if isinstance(node, Call):
+            return Call(node.fn, tuple(walk(arg) for arg in node.args), pos)
+        return dataclasses.replace(node, pos=pos)
+
+    return walk(tree)
+
+
+# Signed zeros, near-overflow and near-underflow leaves and inputs, so
+# every fault kind occurs and every node kind sees a zero.
+_EDGES = [0.0, -0.0, 1e300, 1e160, 1e-300, 0.5, 2.0, 3.0]
+_fault_leaves = st.one_of(
+    st.sampled_from(_EDGES).map(Num),
+    st.floats(min_value=-4.0, max_value=4.0).map(Num),
+    st.sampled_from(["t", "u", "v"]).map(Var),
+)
+
+
+def _all_branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+            lambda p: Bin(p[0], p[1], p[2])),
+        children.map(lambda e: Unary("-", e)),
+        st.tuples(st.sampled_from(["abs", "sqrt", "exp", "log", "sin", "cos"]), children).map(
+            lambda p: Call(p[0], (p[1],))),
+        st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+            lambda p: Call(p[0], (p[1], p[2]))),
+    )
+
+
+# the root is always an operation, so no example is a bare leaf
+_fault_trees = _all_branches(st.recursive(_fault_leaves, _all_branches, max_leaves=8)).map(
+    _numbered)
+_input_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e160, 1e300, -1e300, 1e-300,
+                                 5e-324])
+_axis = st.lists(_input_values, min_size=1, max_size=4).map(np.array)
+_inputs = st.one_of(
+    st.tuples(_input_values, _input_values, _input_values),  # 0-d scalars
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        *[st.lists(_input_values, min_size=n, max_size=n).map(np.array)] * 3)),  # 1-D
+    st.tuples(_axis, _axis, _axis).map(lambda axes: np.ix_(*axes)),  # open grid
+)
+
+
+class TestFlagParity:
+    @settings(max_examples=400, deadline=None)
+    @given(_fault_trees, _inputs)
+    def test_matches_scanned_walker(self, tree, inputs):
+        # same bits on success; same fault class, offset and message otherwise
+        assert _outcome(eval_expr_array, tree, inputs) == _outcome(scanned_eval, tree, inputs)
+
+    @pytest.mark.parametrize("text, u, expected", [
+        ("1/u", -0.0, DivisionByZero),  # divide-by-zero flag
+        ("0/u", 0.0, DivisionByZero),  # invalid flag, same name
+        ("1e300/u", 1e-300, Overflow),  # overflow flag at a nonzero divisor
+        ("sqrt(u)", -1e-300, DomainError),
+        ("log(u)", -0.0, DomainError),
+        ("exp(u)", 710.0, Overflow),
+        ("min(1, u*u)", 1e300, Overflow),  # the flag fires before min hides it
+        ("u^2", 1e300, Overflow),
+        ("u*u + 1", 1e-300, "value"),  # underflow is not a fault
+        ("sqrt(u)", -0.0, "value"),
+    ])
+    def test_flag_routes(self, text, u, expected):
+        expr = parse(text)
+        got = _outcome(eval_expr_array, expr, (0.0, u, 0.0))
+        assert got == _outcome(scanned_eval, expr, (0.0, u, 0.0))
+        assert got[0] == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # the scans blamed offset 1 for 2*u + 1 at u = nan; no node is to blame
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_expr(parse("2*u + 1"), 0.0, bad, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_expr_array(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
+
+    @pytest.mark.parametrize("text, hex_bits", [
+        ("(-0)^3", "0x0.0p+0"),  # np.power would give -0.0
+        ("2^log(2)", "0x1.9de70ac53b8aap+0"),  # np.power on 0-d operands ends in ...a9
+    ])
+    def test_power_keeps_scanned_bits(self, text, hex_bits):
+        expr = parse(text)
+        value = eval_expr(expr, 0.0, 0.0, 0.0)
+        assert value.hex() == hex_bits
+        assert np.float64(value).tobytes() == scanned_eval(expr, 0.0, 0.0, 0.0).tobytes()
 
 
 def nonneg_check(text, box, grid=21):

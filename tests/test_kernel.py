@@ -73,6 +73,9 @@ class TestParamValidation:
             (1.5, 0.2, 0.75, 1.0, IntervalChoiceViolated),  # b >= 1
             # (0.999 - 0.75)^0.5 = 0.4990 >= 0.2 * Gamma(1.5)
             (1.5, 0.2, 0.75, 0.999, IntervalChoiceViolated),
+            # b = eta = 0 satisfies both interval inequalities, but [0, b] is a point
+            (1.5, 0.2, 0.0, 0.0, IntervalChoiceViolated),
+            (2.0, 0.04, 0.0, 0.0, IntervalChoiceViolated),
             (math.nan, 0.2, 0.75, 0.775, ParamError),
         ],
     )
