@@ -24,8 +24,8 @@ certificate scoped to that box (patterns NONEXIST-1/2/3).
 
 All extrema are sampled estimates, not proved bounds: a sup estimate is a
 lower bound of the true sup, an inf estimate an upper bound of the true
-inf. Boxes are sampled on open grids (``np.ix_`` axes), never on
-materialised meshes.
+inf. Boxes are sampled on open grids, never on materialised meshes: an
+expression is evaluated un-broadcast and its extremum is taken there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, eval_expr_array
+from .exprlang import Expr, eval_expr_open
 from .problem import Problem
 
 __all__ = [
@@ -99,15 +99,33 @@ class ExtremumEstimate:
         return self.refine_rounds > 0
 
 
-def _scan(fn, axes) -> tuple[float, tuple[float, float, float], int]:
-    """Maximize fn on the open grid ``np.ix_(*axes)``; the first maximum wins ties."""
-    vals = fn(*np.ix_(*axes))
+def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float], int]:
+    """Maximize sign * fn on the open grid of ``axes``; the first maximum wins ties.
+
+    ``fn`` gets the axes shaped (n,1,1), (1,n,1), (1,1,n) and may return
+    its value un-broadcast. The argmax runs on that small array: the full
+    grid is constant along its length-1 axes, so the full grid's first
+    (C-order) maximum has index 0 there. ``samples`` counts the full grid.
+    """
+    t, u, v = axes
+    vals = fn(t.reshape(-1, 1, 1), u.reshape(1, -1, 1), v.reshape(1, 1, -1))
+    vals = sign * np.reshape(vals, (1,) * (3 - np.ndim(vals)) + np.shape(vals))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx)), vals.size
+    return (float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx)),
+            t.size * u.size * v.size)
 
 
 def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
-    return np.array([lo]) if hi <= lo else np.linspace(lo, hi, grid)
+    """``np.linspace(lo, hi, grid)`` bit for bit, or the single point lo."""
+    if hi <= lo:
+        return np.array([lo])
+    step = (hi - lo) / (grid - 1)
+    if step == 0.0:  # a subnormal width: linspace divides before it scales
+        axis = np.arange(grid) / (grid - 1) * (hi - lo) + lo
+    else:
+        axis = np.arange(grid) * step + lo
+    axis[-1] = hi
+    return axis
 
 
 def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> ExtremumEstimate:
@@ -115,9 +133,8 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> 
     if grid < 3:
         raise ValueError(f"grid must be >= 3 points per axis, got {grid}")
     ranges = (box.t_range, box.u_range, box.v_range)
-    signed = lambda tg, ug, vg: sign * fn(tg, ug, vg)
     axes = [_axis(lo, hi, grid) for lo, hi in ranges]
-    best, loc, n = _scan(signed, axes)
+    best, loc, n = _scan(fn, axes, sign)
     total = n
     half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
     for _ in range(refine_rounds):
@@ -127,7 +144,7 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> 
             _axis(max(lo, x - h), min(hi, x + h), grid)
             for (lo, hi), x, h in zip(ranges, loc, half)
         ]
-        val, where, n = _scan(signed, axes)
+        val, where, n = _scan(fn, axes, sign)
         total += n
         if val > best:
             best, loc = val, where
@@ -143,13 +160,13 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> 
 
 def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled supremum of an expression over a box (monotone under refinement)."""
-    fn = lambda tg, ug, vg: eval_expr_array(expr, tg, ug, vg)
+    fn = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg)
     return _box_extremum(fn, box, grid, refine_rounds, 1.0)
 
 
 def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled infimum of an expression over a box (monotone under refinement)."""
-    fn = lambda tg, ug, vg: eval_expr_array(expr, tg, ug, vg)
+    fn = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg)
     return _box_extremum(fn, box, grid, refine_rounds, -1.0)
 
 
@@ -461,9 +478,8 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     u_axis, v_axis = (own_axis, other_axis) if i == 1 else (other_axis, own_axis)
     # variant 2 samples only w_i > 0, where |w_i| = w_i
     sign = 1.0 if kind == "NE1" else -1.0
-    signed_ratio = lambda tg, ug, vg: sign * (
-        eval_expr_array(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg))
-    best, loc, samples = _scan(signed_ratio, (t_axis, u_axis, v_axis))
+    ratio = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg)
+    best, loc, samples = _scan(ratio, (t_axis, u_axis, v_axis), sign)
     est = ExtremumEstimate(
         kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
         samples=samples, refine_rounds=0,

@@ -30,8 +30,8 @@ from .certify import (Box3, Certificate, ConditionFailed, ExtremumEstimate,
                       LadderOrderViolation, PATTERNS, box_inf, check_nonexistence,
                       check_pattern, search_certificate)
 from .exprlang import EvalError, ExprError, parse
-from .kernel import (KernelBoundError, ParamError, ProblemParams, check_params,
-                     default_interval_end, kernel_values, phi_values,
+from .kernel import (IntervalChoiceViolated, KernelBoundError, ParamError, ProblemParams,
+                     check_params, default_interval_end, kernel_values, phi_values,
                      validate_params)
 from .problem import Options, Problem
 from .solver import build_grid, cone_metrics, interpolate_nodes, solve_picard
@@ -156,9 +156,14 @@ def load_config(path) -> ProblemConfig:
         else:
             b = default_interval_end(alpha, beta, eta)
             if b is None:
-                # fall back to eta so the interval check reports the range
+                # [0, eta] is admissible whenever eta > 0
                 b = eta
         msgs = check_params(alpha, beta, eta, b)
+        if msgs and "b" not in eq and all(kind is IntervalChoiceViolated for kind, _ in msgs):
+            hi = eta + (beta * math.gamma(alpha)) ** (1.0 / (alpha - 1.0))
+            msgs = [(IntervalChoiceViolated,
+                     "interval end b was omitted and neither the midpoint (eta + 1)/2 nor "
+                     f"eta is admissible; set b in ({eta!r}, {hi!r})")]
         if msgs:
             sem.extend(f"/equations/{i}: {msg}" for _, msg in msgs)
         else:

@@ -9,6 +9,11 @@ non-finite number: division by zero, domain faults (sqrt/log of a negative,
 negative base with a non-integer exponent) and overflow, found by the
 floating-point flags they raise inside one errstate block, raise typed
 EvalError subclasses carrying the byte offset of the offending token.
+
+Each parsed tree is compiled once, on its first evaluation, into nested
+closures over the ufunc table and kept on the tree. ``eval_expr_open``
+returns the value on the inputs' open grid, un-broadcast;
+``eval_expr_array`` broadcasts it to the full shape.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "parse",
     "eval_expr",
     "eval_expr_array",
+    "eval_expr_open",
     "pretty",
 ]
 
@@ -77,27 +83,34 @@ class Overflow(EvalError):
     pass
 
 
+class _Node:
+    """Base of the tree nodes: pickles and copies leave out the compiled code."""
+
+    def __getstate__(self):
+        return {key: val for key, val in vars(self).items() if key != "_code"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str
     operand: "Expr"
     pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     left: "Expr"
     right: "Expr"
@@ -105,7 +118,7 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     args: tuple["Expr", ...]
     pos: int = field(default=0, compare=False)
@@ -252,47 +265,95 @@ def _fault(op: str, args, pos: int) -> EvalError:
     return Overflow(f"{_OP_NAMES.get(op, op)} overflowed to a non-finite value", pos)
 
 
-def _evaluate(node: Expr, env: dict):
+# the code of a Var leaf: its input, as given
+_VAR_CODE = {"t": lambda t, u, v: t, "u": lambda t, u, v: u, "v": lambda t, u, v: v}
+
+
+def _compile(node: Expr):
+    """Turn a tree into nested closures of (t, u, v) that evaluate it in post-order.
+
+    ``eval_expr_open`` keeps the result in the root's instance ``__dict__``,
+    outside the dataclass fields that equality, hashing and repr read, so
+    it dies with the tree and is never shared between equal trees, whose
+    offsets may differ.
+    """
     if isinstance(node, Num):
-        return np.asarray(node.value, dtype=float)
+        value = np.asarray(node.value, dtype=float)
+        value.flags.writeable = False
+        return lambda t, u, v: value
     if isinstance(node, Var):
-        return env[node.name]
+        return _VAR_CODE[node.name]
     if isinstance(node, Unary):
-        return np.negative(_evaluate(node.operand, env))
+        operand = _compile(node.operand)
+        return lambda t, u, v: np.negative(operand(t, u, v))
     if isinstance(node, Bin):
-        op, args = node.op, (_evaluate(node.left, env), _evaluate(node.right, env))
+        op, children = node.op, (node.left, node.right)
     else:
-        op, args = node.fn, tuple(_evaluate(arg, env) for arg in node.args)
-    try:
-        return _power(*args, node.pos) if op == "^" else _UFUNCS[op](*args)
-    except FloatingPointError:
-        raise _fault(op, args, node.pos) from None
+        op, children = node.fn, node.args
+    pos = node.pos
+    apply = (lambda a, b: _power(a, b, pos)) if op == "^" else _UFUNCS[op]
+    if len(children) == 1:
+        arg = _compile(children[0])
+
+        def call1(t, u, v):
+            a = arg(t, u, v)
+            try:
+                return apply(a)
+            except FloatingPointError:
+                raise _fault(op, (a,), pos) from None
+
+        return call1
+    left, right = _compile(children[0]), _compile(children[1])
+
+    def call2(t, u, v):
+        a, b = left(t, u, v), right(t, u, v)
+        try:
+            return apply(a, b)
+        except FloatingPointError:
+            raise _fault(op, (a, b), pos) from None
+
+    return call2
 
 
 def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
     """Evaluate at a finite point; returns a finite float or raises an EvalError."""
-    return float(eval_expr_array(expr, t, u, v))
+    return float(eval_expr_open(expr, t, u, v))
+
+
+def eval_expr_open(expr: Expr, t, u, v) -> np.ndarray:
+    """Evaluate on broadcastable numpy arrays without broadcasting the result.
+
+    Every node runs on its operands as given, so on an open grid
+    (``(n,1,1)``, ``(1,n,1)``, ``(1,1,n)`` axes) the result has length 1
+    along each axis it does not depend on, and a constant is 0-d. The
+    result broadcasts to the inputs' shape; it may be one of the inputs.
+    Inputs must be finite (else ValueError), and an empty grid is
+    evaluated on the broadcast (empty) inputs, so it never faults. The
+    tree runs in one errstate block that raises on overflow, division by
+    zero and invalid operations, the only ways from finite operands to a
+    non-finite value; the first node to raise (in post-order) is the
+    fault, named at its offset.
+    """
+    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
+    if 0 in np.broadcast(t, u, v).shape:  # an empty grid has no samples, so none can fault
+        t, u, v = np.broadcast_arrays(t, u, v)
+    if not all(np.isfinite(x).all() for x in (t, u, v)):
+        raise ValueError("t, u and v must be finite")
+    code = vars(expr).get("_code")
+    if code is None:
+        code = vars(expr)["_code"] = _compile(expr)
+    with np.errstate(all="raise", under="ignore"):
+        return np.asarray(code(t, u, v))
 
 
 def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
     """Evaluate on broadcastable numpy arrays; any faulty sample raises.
 
-    Inputs may be an open grid (``np.ix_`` axes): every node runs on its
-    operands as given, and only the result is broadcast to the full shape.
-    Inputs must be finite (else ValueError). The tree runs in one errstate
-    block that raises on overflow, division by zero and invalid operations,
-    the only ways from finite operands to a non-finite value; the first
-    node to raise is the fault, named at its offset.
+    The value of ``eval_expr_open`` (same input rules and faults) as a
+    read-only view broadcast to the inputs' full shape.
     """
-    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
-    shape = np.broadcast(t, u, v).shape
-    if 0 in shape:  # an empty grid has no samples, so none can fault
-        t, u, v = np.broadcast_arrays(t, u, v)
-    if not all(np.isfinite(x).all() for x in (t, u, v)):
-        raise ValueError("t, u and v must be finite")
-    with np.errstate(all="raise", under="ignore"):
-        res = _evaluate(expr, {"t": t, "u": u, "v": v})
-    return np.broadcast_to(res, shape)
+    res = eval_expr_open(expr, t, u, v)
+    return np.broadcast_to(res, np.broadcast(t, u, v).shape)
 
 
 def _prec(node: Expr) -> int:

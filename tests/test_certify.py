@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _golden import EXTREMUM_CASES
@@ -29,7 +29,8 @@ from fraccert.certify import (
     revalidate_certificate,
     search_certificate,
 )
-from fraccert.exprlang import parse
+from fraccert.exprlang import Num, Var, parse, pretty
+from test_exprlang import _branches, _trees
 
 UNIT = Box3(t_range=(0.0, 1.0), u_range=(-1.0, 1.0), v_range=(-1.0, 1.0))
 
@@ -132,16 +133,35 @@ class TestBoxExtremum:
         assert est.value == pytest.approx(a + abs(b) + abs(c), rel=1e-12, abs=1e-12)
 
 
-def meshgrid_scan(fn, axes):
+_TINY = 5e-324  # the smallest subnormal
+_subnormals = st.integers(1, 4096).map(lambda k: k * _TINY)
+
+
+class TestAxis:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-1e300, 1e300), _subnormals, _subnormals.map(lambda x: -x)),
+           st.one_of(st.floats(_TINY, 1e300), _subnormals), st.integers(3, 65))
+    def test_matches_linspace(self, lo, width, grid):
+        hi = lo + width
+        assume(hi > lo)
+        assert np.array_equal(certify._axis(lo, hi, grid), np.linspace(lo, hi, grid))
+
+    def test_step_underflow(self):
+        # (hi - lo)/32 rounds to 0, where linspace divides before scaling
+        assert np.array_equal(certify._axis(0.0, _TINY, 33), np.linspace(0.0, _TINY, 33))
+        assert np.array_equal(certify._axis(0.5, 0.5, 33), [0.5])
+
+
+def meshgrid_scan(fn, axes, sign):
     """Reference for certify._scan: the same argmax on a materialised mesh."""
     tg, ug, vg = np.meshgrid(*axes, indexing="ij")
-    vals = fn(tg, ug, vg)
+    vals = sign * np.broadcast_to(fn(tg, ug, vg), tg.shape)
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     return float(vals[idx]), (float(tg[idx]), float(ug[idx]), float(vg[idx])), vals.size
 
 
-def on_mesh(monkeypatch, call):
-    with monkeypatch.context() as patch:
+def on_mesh(call):
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certify, "_scan", meshgrid_scan)
         return call()
 
@@ -149,6 +169,27 @@ def on_mesh(monkeypatch, call):
 # Plateaus and kinks tie many samples at the extremum, so equal locations
 # pin the first (C-order) maximum on both grids.
 TIE_HEAVY = ["1", "min(1, max((u-0.2)/0.3, 0))", "abs(v)"]
+
+
+# Parity inputs: random trees, constant trees and trees of one variable,
+# on boxes with tenth-step ends (many ties) and often degenerate axes.
+_tenths = st.integers(-30, 30).map(lambda k: k / 10)
+_parity_leaves = st.integers(0, 30).map(lambda k: Num(k / 10))
+_parity_trees = st.one_of(
+    _trees,
+    st.recursive(_parity_leaves, _branches, max_leaves=6),
+    st.sampled_from("tuv").flatmap(lambda name: st.recursive(
+        st.one_of(_parity_leaves, st.just(Var(name))), _branches, max_leaves=6)),
+)
+
+
+def _span(ends):
+    return st.one_of(ends.map(lambda x: (x, x)),
+                     st.tuples(ends, ends).map(lambda p: (min(p), max(p))))
+
+
+_parity_boxes = st.builds(Box3, _span(st.integers(0, 10).map(lambda k: k / 10)),
+                          _span(_tenths), _span(_tenths))
 
 
 class TestOpenGridParity:
@@ -159,10 +200,10 @@ class TestOpenGridParity:
         Box3((0.3, 0.3), (-1.0, 1.0), (0.0, 0.0)),
     ], ids=["unit", "I0-like", "degenerate"])
     @pytest.mark.parametrize("text", TIE_HEAVY)
-    def test_box_extremum(self, monkeypatch, extremum, box, text):
+    def test_box_extremum(self, extremum, box, text):
         run = lambda: extremum(parse(text), box)
         # dataclass equality: value, location and samples
-        assert run() == on_mesh(monkeypatch, run)
+        assert run() == on_mesh(run)
 
     @pytest.mark.parametrize("variant, f1, f2", [
         (1, "0.1*abs(u)", "0.1*min(1, max((v-0.2)/0.3, 0))"),
@@ -175,7 +216,7 @@ class TestOpenGridParity:
         Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0)),
         Box3((0.0, 1.0), (-10.0, 10.0), (2.0, 2.0)),
     ], ids=["square", "degenerate"])
-    def test_nonexistence(self, monkeypatch, make_problem, box, variant, f1, f2):
+    def test_nonexistence(self, make_problem, box, variant, f1, f2):
         problem = make_problem(f1, f2)
 
         def run():
@@ -184,7 +225,29 @@ class TestOpenGridParity:
             except ConditionFailed as exc:
                 return (exc.result,)
 
-        assert run() == on_mesh(monkeypatch, run)
+        assert run() == on_mesh(run)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_parity_trees, _parity_boxes, st.integers(3, 9), st.integers(0, 3))
+    def test_random_box_extrema(self, tree, box, grid, rounds):
+        for extremum in (box_sup, box_inf):
+            run = lambda: extremum(tree, box, grid=grid, refine_rounds=rounds)
+            assert run() == on_mesh(run)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_parity_trees, _parity_trees, _parity_boxes, st.integers(1, 3), st.integers(3, 9))
+    def test_random_nonexistence(self, base_problem, f1, f2, box, variant, n):
+        problem = dataclasses.replace(base_problem, f=(f1, f2), f_text=(pretty(f1), pretty(f2)))
+
+        def run():
+            try:
+                return check_nonexistence(problem, variant, box, n).conditions
+            except ConditionFailed as exc:
+                return (exc.result,)
+            except ValueError as exc:  # a box the variant cannot sample
+                return str(exc)
+
+        assert run() == on_mesh(run)
 
 
 class TestIndexConditions:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from fraccert.certify import Box3, ConditionFailed, check_nonexistence
 from fraccert.cli import (
     SchemaError,
     ValidationError,
@@ -105,6 +106,20 @@ class TestLoadConfig:
 
         cfg = load_config(write_config(tmp_path, mutate))
         assert cfg.params[0].b == 0.75
+
+    def test_omitted_b_without_admissible_default(self, tmp_path, capsys):
+        # eta = 0 makes the fallback b = eta a point interval; the message
+        # names the omission and the admissible range, not a b never written
+        def mutate(c):
+            c["equations"][0] = {"alpha": 1.5, "beta": 0.2, "eta": 0.0}
+
+        assert main(["constants", "--config", write_config(tmp_path, mutate)]) == 1
+        err = capsys.readouterr().err
+        hi = (0.2 * math.gamma(1.5)) ** 2
+        assert "config rejected:" in err
+        assert "/equations/0: interval end b was omitted" in err
+        assert f"set b in (0.0, {hi!r})" in err
+        assert "got 0.0" not in err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -496,13 +511,27 @@ class TestDispatch:
         assert main(["constants", "--config", "/nonexistent/cfg.json"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_oversized_grid_is_one_error_line(self, capsys):
-        # 100000^3 float64 samples are 7.11 PiB; numpy refuses before allocating
-        rc = main(["certify", "--config", REF, "--pattern", "NE1", "--samples", "100000"])
+    def test_oversized_grid_is_one_error_line(self, tmp_path, capsys):
+        # only parts that mix variables fill the grid; t*u is the first, and
+        # its 2e6 x 2e6 float64 samples are 29 TiB, so numpy refuses before
+        # allocating (the 8e18-sample grid still has a shape numpy can hold)
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="10 + t*u*v"))
+        rc = main(["certify", "--config", cfg, "--pattern", "NE1", "--samples", "2000000"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Unable to allocate" in err
+
+    def test_one_variable_ratio_never_fills_the_grid(self, capsys, base_problem):
+        # f1 = 10 makes NE1 scan 10/|u| on the u axis alone: 10^15 samples
+        # are counted, none allocated
+        rc = main(["certify", "--config", REF, "--pattern", "NE1", "--samples", "100000"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["failure"]["kind"] == "NE1"
+        box = Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0))
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(base_problem, 1, box, 100000)
+        assert info.value.result.estimate.samples == 10**15
 
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))

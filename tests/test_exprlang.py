@@ -1,8 +1,11 @@
 """Expression parsing, evaluation, rendering and sampled sign checks."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from fraccert.exprlang import (
     Var,
     eval_expr,
     eval_expr_array,
+    eval_expr_open,
     parse,
     pretty,
 )
@@ -224,6 +228,17 @@ _MIXED = [
 ]
 
 
+def _variables(node):
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, Unary):
+        return _variables(node.operand)
+    children = (node.left, node.right) if isinstance(node, Bin) else node.args
+    return set().union(*map(_variables, children))
+
+
 def _both_grids(expr, t, u, v):
     """Evaluate on the open grid and on the materialised mesh of the same axes."""
     return (eval_expr_array(expr, *np.ix_(t, u, v)),
@@ -274,6 +289,20 @@ class TestOpenGrid:
         out = eval_expr_array(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
         assert out.shape == (0, 1, 1)
         assert eval_expr_array(expr, np.empty(0), 0.0, 0.0).shape == (0,)
+        out = eval_expr_open(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
+        assert out.shape == (0, 1, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_trees)
+    def test_open_result_keeps_unused_axes(self, tree):
+        # length 1 exactly along the axes of variables the tree never reads
+        used = _variables(tree)
+        grid = np.ix_(_T_AXIS, _U_AXIS, _V_AXIS)
+        res = eval_expr_open(tree, *grid)
+        lengths = {"t": 33, "u": 34, "v": 35}
+        want = tuple(lengths[name] if name in used else 1 for name in "tuv") if used else ()
+        assert res.shape == want
+        assert np.array_equal(np.broadcast_to(res, (33, 34, 35)), eval_expr_array(tree, *grid))
 
 
 # The checked walker the flag-based evaluator replaced, kept as the parity
@@ -439,6 +468,8 @@ class TestFlagParity:
             eval_expr(parse("2*u + 1"), 0.0, bad, 0.0)
         with pytest.raises(ValueError, match="must be finite"):
             eval_expr_array(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_expr_open(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
 
     @pytest.mark.parametrize("text, hex_bits", [
         ("(-0)^3", "0x0.0p+0"),  # np.power would give -0.0
@@ -449,6 +480,37 @@ class TestFlagParity:
         value = eval_expr(expr, 0.0, 0.0, 0.0)
         assert value.hex() == hex_bits
         assert np.float64(value).tobytes() == scanned_eval(expr, 0.0, 0.0, 0.0).tobytes()
+
+
+class TestCompiledCode:
+    def test_equal_trees_keep_their_offsets(self):
+        # equality ignores offsets, so code shared between equal trees
+        # would blame the other tree's operator
+        for texts in (("1/u", " 1/u"), (" 1/u", "1/u")):
+            trees = [parse(text) for text in texts]
+            assert trees[0] == trees[1] and hash(trees[0]) == hash(trees[1])
+            for expr, text in zip(trees, texts):
+                with pytest.raises(DivisionByZero) as info:
+                    eval_expr(expr, 0.0, 0.0, 0.0)
+                assert info.value.position == text.index("/")
+
+    def test_code_dies_with_its_tree(self):
+        expr = parse("2*u + sin(v)")
+        assert eval_expr(expr, 0.0, 1.0, 0.0) == 2.0
+        ref = weakref.ref(expr)
+        del expr
+        gc.collect()
+        assert ref() is None
+
+    def test_evaluated_tree_pickles(self):
+        # the compiled closures stay behind; the copy compiles its own
+        expr = parse(" 1/u")
+        assert eval_expr(expr, 0.0, 2.0, 0.0) == 0.5
+        clone = pickle.loads(pickle.dumps(expr))
+        assert clone == expr and "_code" not in vars(clone)
+        with pytest.raises(DivisionByZero) as info:
+            eval_expr(clone, 0.0, 0.0, 0.0)
+        assert info.value.position == 2
 
 
 def nonneg_check(text, box, grid=21):
