@@ -436,12 +436,11 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solution_csv(grid, u: np.ndarray, v: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "u", "v"])
-    for t, a, b in zip(grid.nodes, u, v):
-        writer.writerow([_fmt_float(float(t)), _fmt_float(float(a)), _fmt_float(float(b))])
-    return buf.getvalue()
+    rows = np.column_stack((grid.nodes, u, v))
+    finite = np.isfinite(rows)
+    if not finite.all():
+        _fmt_float(float(rows[~finite][0]))  # raises, naming the first non-finite value
+    return "t,u,v\n" + "".join(f"{t:.17g},{a:.17g},{b:.17g}\n" for t, a, b in rows.tolist())
 
 
 def _cmd_solve(args) -> int:

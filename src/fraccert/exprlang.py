@@ -335,7 +335,7 @@ def eval_expr_open(expr: Expr, t, u, v) -> np.ndarray:
     fault, named at its offset.
     """
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
-    if 0 in np.broadcast(t, u, v).shape:  # an empty grid has no samples, so none can fault
+    if any(0 in x.shape for x in (t, u, v)):  # an empty grid has no samples, so none can fault
         t, u, v = np.broadcast_arrays(t, u, v)
     if not all(np.isfinite(x).all() for x in (t, u, v)):
         raise ValueError("t, u and v must be finite")

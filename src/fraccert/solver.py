@@ -11,6 +11,11 @@ is integrated exactly (product integration; its kinks eta and t_j are
 nodes) against the local piecewise-cubic Lagrange interpolant of the
 integrand's nonlinear factor. That yields one dense weight matrix per
 equation, so one fixed-point application is two matrix-vector products.
+Where a row and the cells around a column all sit on the uniform lattice,
+a weight depends only on their lattice offset, so those entries are read
+from one table of the unit cell scaled by h^alpha; rows at breakpoints and
+the columns beside breakpoints and the ends of [0, 1] (the border) are
+integrated cell by cell by the same rule.
 The fixed point itself is found by damped Picard iteration;
 non-convergence is a flagged outcome, never an exception.
 """
@@ -19,8 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exprlang import Expr, eval_expr_array
 from .kernel import KernelModel
@@ -44,7 +51,8 @@ _MIN_NODES = 8
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W
 
-# bytes of the table of (t_j - s)^(alpha-1) at the Gauss nodes of one row block
+# bytes of one transient table: (t_j - s)^(alpha-1) at the Gauss points of a
+# block of rows, or the weights of a chunk of border cells over all rows
 _BLOCK_BYTES = 1 << 18
 
 
@@ -87,7 +95,9 @@ class SystemGrid:
     ``weights[i][j, p]`` is int_0^1 k_{i+1}(t_j, s) L_p(s) ds, exact up to
     roundoff, for the piecewise-cubic cardinal function L_p of node p, so
     weights[i] @ g integrates k_{i+1}(t_j, .) against the interpolant of
-    the node values g (exactly for cubic g, kinks of k included).
+    the node values g (exactly for cubic g, kinks of k included). For a
+    lattice row j and a column p away from the border, the fractional
+    part of the entry is a function of i_j - i_p alone (lattice indices).
     """
 
     nodes: np.ndarray
@@ -96,61 +106,163 @@ class SystemGrid:
     breakpoints: tuple[float, ...]
 
 
-def _weight_matrix(model: KernelModel, nodes: np.ndarray) -> np.ndarray:
-    """W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha), with B[p] = int_0^1 L_p,
-    R[j, p] = int_0^{t_j} (t_j - s)^(alpha-1) L_p(s) ds and E = R at eta:
-    each cell of row j of R takes the Gauss rule, or exact moments when t_j
-    lies at most one cell width past the cell's end."""
-    p = model.params
-    n, g = nodes.size, _GAUSS_X.size
+class _Cells(NamedTuple):
+    """Quadrature data of the cells between consecutive nodes: the stencil's
+    node indices (cells, 4), the Gauss points (cells, 8) and the Gauss
+    weights times the stencil's basis cubics there (cells, 8, 4)."""
+
+    nodes: np.ndarray
+    stencil: np.ndarray
+    gauss: np.ndarray
+    rule: np.ndarray
+
+
+def _cells(nodes: np.ndarray) -> _Cells:
+    g = _GAUSS_X.size
     width = np.diff(nodes)
-    stencil = _lagrange_stencil(nodes, nodes[:-1])[0]  # node indices per cell
-    # near (row, cell) pairs, among the cells ending within 2 max(width) of t_j
-    first = np.searchsorted(nodes, nodes - 2.0 * width.max())
-    c = first[:, None] - 1 + np.arange(np.max(np.arange(n) - first) + 2)
-    gap = nodes[:, None] - nodes.take(c + 1, mode="clip")
-    near = (c >= 0) & (c < np.arange(n)[:, None]) & (gap <= width.take(c, mode="clip"))
-    rows, cells = np.nonzero(near)[0], c[near]
-    # and their exact moments: in u = (t_j - s)/w the cell is [lo, lo + 1], lo <= 1,
-    # and the stencil nodes u_r are O(1), so neither the moments of u^(alpha-1+k)
-    # nor the product form of basis cubic q, prod_{r != q} (u - u_r)/(u_q - u_r), cancel
-    t, w = nodes[rows, None], width[cells, None]
-    k = p.alpha + np.arange(4.0)
-    mom = (((t - nodes[cells, None]) / w) ** k - ((t - nodes[cells + 1, None]) / w) ** k) / k
-    u = (t - nodes[stencil[cells]]) / w
-    exact = np.empty((rows.size, 4))
+    gs = nodes[:-1, None] + width[:, None] * _GAUSS_X
+    stencil, basis = _lagrange_stencil(nodes, gs.ravel())
+    rule = basis.reshape(width.size, g, 4) * (width[:, None] * _GAUSS_W)[:, :, None]
+    return _Cells(nodes, stencil[::g], gs, rule)
+
+
+# the unit lattice cell [0, 1] with stencil -1, 0, 1, 2
+_UNIT = _cells(np.arange(-1.0, 3.0))
+
+
+def _cell_weights(alpha: float, cells: _Cells, sel: slice, t: np.ndarray) -> np.ndarray:
+    """Product-integration weights of the cells ``sel`` for the rows ``t``.
+
+    w[k, j, q] = int over the k-th selected cell of (t_j - s)^(alpha-1)
+    L_q(s) ds for the four cubics L_q of the cell's stencil: the Gauss
+    rule when t_j lies more than one cell width past the cell's end, exact
+    moments when it lies at most that far. No t_j may lie inside a
+    selected cell, so a cell not ending at or before t_j starts at or after
+    it and weighs 0; alpha = 1 (where 0^0 = 1) needs every cell before t.
+    """
+    nodes = cells.nodes
+    lo, hi = nodes[:-1][sel], nodes[1:][sel]
+    w = hi - lo
+    gs, rule = cells.gauss[sel], cells.rule[sel]
+    m, g = gs.shape
+    out = np.empty((m, t.size, 4))
+    per = max(1, _BLOCK_BYTES // (8 * g * m))
+    for j0 in range(0, t.size, per):
+        F = t[None, j0:j0 + per, None] - gs[:, None, :]
+        np.maximum(F, 0.0, out=F)
+        F **= alpha - 1.0
+        out[:, j0:j0 + per] = np.matmul(F, rule)
+    # the near pairs take exact moments: in u = (t - s)/w the cell is
+    # [d, d + 1], d <= 1, and the stencil nodes u_r are O(1), so neither
+    # the moments of u^(alpha-1+k) nor the product form of basis cubic q,
+    # prod_{r != q} (u - u_r)/(u_q - u_r), cancel
+    gap = t - hi[:, None]
+    kk, jj = np.nonzero((gap >= 0.0) & (gap <= w[:, None]))
+    tj, wk = t[jj, None], w[kk, None]
+    k = alpha + np.arange(4.0)
+    mom = (((tj - lo[kk, None]) / wk) ** k - ((tj - hi[kk, None]) / wk) ** k) / k
+    u = (tj - nodes[cells.stencil[sel][kk]]) / wk
+    r = u[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]  # the other three per q
+    e2 = r[..., 0] * r[..., 1] + r[..., 2] * (r[..., 0] + r[..., 1])
+    num = (mom[:, 3:] - r.sum(axis=2) * mom[:, 2:3] + e2 * mom[:, 1:2]
+           - r.prod(axis=2) * mom[:, :1])
+    out[kk, jj] = num / (u[:, :, None] - r).prod(axis=2) * wk**alpha
+    return out
+
+
+def _add_cells(R: np.ndarray, rows, c0: int, w: np.ndarray) -> None:
+    """R[rows] += the weights w[k] of cell c0 + k on its stencil's columns."""
+    N, m = R.shape[1], w.shape[0]
+    a, b = max(c0, 1), min(c0 + m, N - 2)  # cells 1..N-3 have stencil c-1..c+2
     for q in range(4):
-        r = u[:, np.arange(4) != q]
-        e2 = r[:, 0] * r[:, 1] + r[:, 2] * (r[:, 0] + r[:, 1])
-        num = mom[:, 3] - r.sum(axis=1) * mom[:, 2] + e2 * mom[:, 1] - r.prod(axis=1) * mom[:, 0]
-        exact[:, q] = num / (u[:, q:q + 1] - r).prod(axis=1)
-    exact *= w**p.alpha
-    del c, gap, near, t, w, mom, u, r, e2, num
-    # the Gauss rule times the basis on every cell
-    gs = (nodes[:-1, None] + width[:, None] * _GAUSS_X).ravel()
-    rule = _lagrange_stencil(nodes, gs)[1].reshape(n - 1, g, 4)
-    rule *= (width[:, None] * _GAUSS_W)[:, :, None]
-    B = np.bincount(stencil.ravel(), rule.sum(axis=1).ravel(), minlength=n)
-    R = np.zeros((n, n))
-    per = max(1, _BLOCK_BYTES // (8 * g * (n - 1)))
-    buf = np.empty((per, g * (n - 1)))
-    flat = stencil[:, None, :] + n * np.arange(per)[:, None]  # (cell, row, q) -> R block
-    for j0 in range(1, n, per):  # row 0 is t = 0, where R vanishes
-        j1 = min(n, j0 + per)
-        m = j1 - 1  # cells that start left of some row of the block
-        F = buf[:j1 - j0, :g * m]
-        np.subtract(nodes[j0:j1, None], gs[:g * m], out=F)
-        np.maximum(F[:, g * j0:], 0.0, out=F[:, g * j0:])  # cells from t_{j0} on
-        F **= p.alpha - 1.0
-        P = np.matmul(F.reshape(j1 - j0, m, g).transpose(1, 0, 2), rule[:m])
-        a, b = np.searchsorted(rows, (j0, j1))
-        P[cells[a:b], rows[a:b] - j0] = exact[a:b]
-        R[j0:j1] += np.bincount(flat[:m, :j1 - j0].ravel(), P.ravel(),
-                                minlength=(j1 - j0) * n).reshape(j1 - j0, n)
-    R -= R[int(np.searchsorted(nodes, p.eta))].copy()  # eta is a node
-    R *= -1.0 / model.gamma_alpha
-    R += p.beta * B
-    return R
+        R[rows, a - 1 + q:b - 1 + q] += w[a - c0:b - c0, :, q].T
+    if c0 == 0:
+        R[rows, :4] += w[0]
+    if c0 + m == N - 1:
+        R[rows, N - 4:] += w[-1]
+
+
+def _runs(mask: np.ndarray, key: np.ndarray) -> list[tuple[int, int]]:
+    """The maximal index ranges [a, b) on which mask holds and key is constant."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return []
+    cut = np.flatnonzero((np.diff(idx) != 1) | (np.diff(key[idx]) != 0))
+    return list(zip(idx[np.r_[0, cut + 1]].tolist(), (idx[np.r_[cut, -1]] + 1).tolist()))
+
+
+def _lattice_index(nodes: np.ndarray, n: int) -> np.ndarray:
+    """The index of each node in np.linspace(0, 1, n), or -1 for a node
+    equal to none of them (no tolerance: one ulp off is off)."""
+    base = np.linspace(0.0, 1.0, n)
+    i = np.minimum(np.searchsorted(base, nodes), n - 1)
+    return np.where(base[i] == nodes, i, -1)
+
+
+def _weight_matrices(models: tuple[KernelModel, KernelModel], nodes: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha) per model, with
+    B[p] = int_0^1 L_p, R[j, p] = int_0^{t_j} (t_j - s)^(alpha-1) L_p(s) ds
+    and E = R at eta.
+
+    The uniform nodes np.linspace(0, 1, n) form a lattice of step h. A node
+    is on it only when equal to a lattice node (no tolerance). A cell whose
+    stencil c-1..c+2 is four consecutive lattice nodes is regular: in a
+    lattice row j its weights are h^alpha times those of the unit cell
+    [0, 1] in row i_j - i_c. So R[j, p] = phi(i_j - i_p) for every lattice
+    row j and every column p that only regular cells touch, phi folded
+    from one table of the unit cell. The rest goes to ``_cell_weights``:
+    rows off the lattice (breakpoints) over all cells, and every column an
+    irregular cell touches (cells 0 and N-2 and those by a breakpoint)
+    over each touching cell's rows to its right.
+    """
+    N = nodes.size
+    cells = _cells(nodes)
+    B = np.zeros((1, N))
+    _add_cells(B, slice(None), 0, _cell_weights(1.0, cells, slice(None), np.ones(1)))
+    lat = _lattice_index(nodes, n)
+    on = lat >= 0
+    regular = np.zeros(N - 1, dtype=bool)
+    regular[1:-1] = on[:-3] & on[1:-2] & on[2:-1] & on[3:] & (lat[3:] - lat[:-3] == 3)
+    border = np.zeros(N, dtype=bool)
+    border[cells.stencil[~regular]] = True
+    per = max(1, _BLOCK_BYTES // (32 * N))  # cells per call, for (cells, N, 4) weights
+    chunks = [(c0, min(b, c0 + per))
+              for a, b in _runs(border[cells.stencil].any(axis=1), np.zeros(N - 1))
+              for c0 in range(a, b, per)]
+    key = lat - np.arange(N)
+    blocks = [(j0, j1, c0, c1) for c0, c1 in _runs(on & ~border, key)
+              for j0, j1 in _runs(on, key)]
+    off = np.flatnonzero(~on)
+    out = []
+    for model in models:
+        p = model.params
+        scale = -1.0 / model.gamma_alpha  # R is built times this
+        R = np.zeros((N, N))
+        for c0, c1 in chunks:
+            w = _cell_weights(p.alpha, cells, slice(c0, c1), nodes[c0 + 1:])
+            w *= scale
+            _add_cells(R, slice(c0 + 1, None), c0, w)
+        # phi(m) = sum_q V[m-1+q, q] for the scaled unit table V, stored
+        # reversed at rev[n - m], so that a block of lattice rows and
+        # columns is a view of its windows
+        V = _cell_weights(p.alpha, _UNIT, slice(1, 2), np.arange(float(n)))[0]
+        V *= scale * (1.0 / (n - 1)) ** p.alpha
+        rev = np.zeros(2 * n + N + 2)
+        for q in range(4):
+            rev[q:n + q] += V[::-1, q]
+        win = sliding_window_view(rev, N)
+        for j0, j1, c0, c1 in blocks:
+            s = n - lat[j0] + lat[c0]
+            R[j0:j1, c0:c1] = win[s + j0 - j1 + 1:s + 1, :c1 - c0][::-1]
+        if off.size:
+            R[off] = 0.0
+            w = _cell_weights(p.alpha, cells, slice(off.max()), nodes[off])
+            w *= scale
+            _add_cells(R, off, 0, w)
+        R += p.beta * B - R[int(np.searchsorted(nodes, p.eta))]  # eta is a node
+        out.append(R)
+    return tuple(out)
 
 
 def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
@@ -169,8 +281,8 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
     keep = gap > 0.25 / (n - 1)
     keep[[0, -1]] = gap[[0, -1]] > 0.0  # the ends of [0, 1] stay
     nodes = np.sort(np.concatenate((base[keep], breaks)))
-    weights = (_weight_matrix(models[0], nodes), _weight_matrix(models[1], nodes))
-    return SystemGrid(nodes=nodes, weights=weights, n_requested=n, breakpoints=breaks)
+    return SystemGrid(nodes=nodes, weights=_weight_matrices(models, nodes, n),
+                      n_requested=n, breakpoints=breaks)
 
 
 def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,

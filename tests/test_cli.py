@@ -3,8 +3,10 @@
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fraccert.certify import Box3, ConditionFailed, check_nonexistence
 from fraccert.cli import (
     SchemaError,
     ValidationError,
+    _solution_csv,
     dumps_report,
     load_config,
     main,
@@ -405,6 +408,24 @@ class TestSolveCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
 
+    def test_csv_bytes_match_csv_writer(self):
+        # the f-string rows against the csv.writer rows they replaced
+        t = np.array([0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0])
+        u = np.array([-0.0, 1e308, -1e308, 3.0, 1e16])
+        v = np.array([2.0, -5e-324, 1e-310, -1.0, 0.1])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t", "u", "v"])
+        for row in zip(t, u, v):
+            writer.writerow([f"{float(x):.17g}" for x in row])
+        assert _solution_csv(SimpleNamespace(nodes=t), u, v) == buf.getvalue()
+
+    def test_csv_names_the_first_non_finite_value(self):
+        # the first in row order: v of row 1 comes before u of row 2
+        grid = SimpleNamespace(nodes=np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="^cannot serialize non-finite float nan$"):
+            _solution_csv(grid, np.array([1.0, 1.0, np.inf]), np.array([1.0, np.nan, 1.0]))
+
     def test_nonconvergence_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, lambda c: c["nonlinearities"].update(f1="3*u + 1", f2="3*v + 1"))
@@ -532,6 +553,13 @@ class TestDispatch:
         with pytest.raises(ConditionFailed) as info:
             check_nonexistence(base_problem, 1, box, 100000)
         assert info.value.result.estimate.samples == 10**15
+
+    def test_grid_past_the_intp_range_is_never_broadcast(self, capsys):
+        # 5e6-point axes make a 1.25e20-sample grid, more than numpy can
+        # give a shape; f1 = 10 scans 10/|u| on the u axis alone
+        rc = main(["certify", "--config", REF, "--pattern", "NE1", "--samples", "5000000"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["failure"]["kind"] == "NE1"
 
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))

@@ -292,6 +292,17 @@ class TestOpenGrid:
         out = eval_expr_open(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
         assert out.shape == (0, 1, 1)
 
+    def test_axes_past_the_intp_range(self):
+        # (2^21 + 1)^3 samples are more than numpy can give a shape; the
+        # open evaluation never forms that grid
+        n = 2**21 + 1
+        t, u, v = (np.broadcast_to(x, shape) for x, shape in
+                   ((0.5, (n, 1, 1)), (2.0, (1, n, 1)), (1.0, (1, 1, n))))
+        with pytest.raises(ValueError):
+            np.broadcast(t, u, v)
+        out = eval_expr_open(parse("3*u"), t, u, v)
+        assert out.shape == (1, n, 1) and np.all(out == 6.0)
+
     @settings(max_examples=80, deadline=None)
     @given(_trees)
     def test_open_result_keeps_unused_axes(self, tree):
