@@ -18,8 +18,7 @@ an exact antiderivative. With G = Gamma(alpha + 1),
 
 is continuous with K' = k(t, .), and k(t, .) keeps its sign between its
 sign crossings. k(., s) is nonincreasing in t, so the infimum defining M
-sits at t = b; the supremum defining m is located numerically on a grid
-of t values and refined by golden-section search.
+sits at t = b; the supremum defining m sits at t = 0 or t = 1.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ __all__ = [
     "ConstantsReport",
     "compute_constants",
 ]
-
-# t values of the grid that brackets the supremum defining m
-_T_POINTS = 513
 
 # width at which the bisection for a crossing in (0, eta) stops; it is
 # above the float spacing on (0, 1), so the halving always makes progress
@@ -93,44 +89,31 @@ def abs_row_integral(p: ProblemParams, t) -> np.ndarray:
     return np.abs(np.diff(K, axis=1)).sum(axis=1)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-    x = x1 if f1 >= f2 else x2
-    return x, max(f1, f2)
-
-
 def compute_m(model: KernelModel) -> tuple[float, float]:
-    """Tight threshold m with 1/m = sup_t int_0^1 |k(t, s)| ds.
+    """Tight threshold m with 1/m = sup_t R(t), R(t) = int_0^1 |k(t, s)| ds.
 
-    The supremum is located on a grid of 513 t values and refined by
-    golden-section search between the neighbours of the best grid point.
-    Returns (m, t_star).
+    The supremum is max(R(0), R(1)); a tie goes to t = 0. Returns (m, t_star).
+
+    Proof. Let w = (beta*Gamma(alpha))^(1/(alpha-1)). For t <= eta + w,
+    k(t, .) >= 0, so R(t) = beta + (eta^alpha - t^alpha)/Gamma(alpha+1)
+    decreases. For t > eta + w, k(t, .) < 0 exactly between its crossings
+    lo in (0, eta), if any (else 0), and hi = t - w; as k(t, lo) = k(t, hi)
+    = 0, differentiating R = 2K(lo) - 2K(hi) + K(1) - K(0) in t gives
+        R' Gamma(alpha) = 2(eta - lo)^(alpha-1) - t^(alpha-1)   with lo,
+        R' Gamma(alpha) = t^(alpha-1) - 2w^(alpha-1)            without,
+    which agree where lo leaves s = 0 and match the left piece at
+    t = eta + w. With A = (eta-lo)^(alpha-2) > B = (t-lo)^(alpha-2) >=
+    C = t^(alpha-2), implicit differentiation of k(t, lo) = 0 gives
+    R'' Gamma(alpha)/(alpha-1) = 2AB/(A-B) - C >= 2B - C > 0 with lo, and
+    C > 0 without, so R is convex past eta + w. At alpha = 2, w = beta and
+    k(t, .) = beta + eta - t is constant on [0, eta), so past eta + w no lo
+    exists, R(t) = eta(t-beta-eta) + (t-beta-eta)^2/2 + beta^2/2 + beta(1-t),
+    R' = t - 2 beta and R'' = 1. Either way R decreases and then is convex,
+    so its maximum sits at an endpoint.
     """
-    p = model.params
-    ts = np.linspace(0.0, 1.0, _T_POINTS)
-    vals = abs_row_integral(p, ts)
-    i = int(np.argmax(vals))
-    x, sup = _golden_max(lambda t: float(abs_row_integral(p, t)[0]),
-                         float(ts[max(i - 1, 0)]), float(ts[min(i + 1, _T_POINTS - 1)]))
-    if vals[i] >= sup:
-        x, sup = float(ts[i]), float(vals[i])
-    return 1.0 / sup, x
+    rows = abs_row_integral(model.params, [0.0, 1.0])
+    i = int(np.argmax(rows))  # row i is t = i
+    return 1.0 / float(rows[i]), float(i)
 
 
 def compute_M(model: KernelModel) -> tuple[float, float]:

@@ -294,8 +294,10 @@ def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
         raise ValueError(
             f"state shapes {u.shape}, {v.shape} do not match the grid {grid.nodes.shape}"
         )
-    g1 = eval_expr_array(f1, grid.nodes, u, v)
-    g2 = eval_expr_array(f2, grid.nodes, u, v)
+    # a constant f evaluates to a stride-0 view, which W @ g would multiply
+    # without BLAS
+    g1 = np.ascontiguousarray(eval_expr_array(f1, grid.nodes, u, v))
+    g2 = np.ascontiguousarray(eval_expr_array(f2, grid.nodes, u, v))
     return grid.weights[0] @ g1, grid.weights[1] @ g2
 
 

@@ -226,6 +226,27 @@ class TestConstantsCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text(encoding="utf-8") == stdout1
 
+    # sha256 of stdout: the reference config (m at t = 0 for both equations)
+    # and reference equation 2 paired with a tuple whose m sits at t = 1
+    @pytest.mark.parametrize("first, digest", [
+        (None, "1e3919bbe8b4dd6edef02e83ccbb5e3d501c918ad3608b4be68ee97a9f8ed548"),
+        ({"alpha": 1.09, "beta": 0.007, "eta": 0.39, "b": 0.39},
+         "14d7a628d4d44338dd28e8030e5ebeb4a2bd9975a6d7a2bfa516e9e17bd099ab"),
+    ], ids=["reference", "sup-at-one"])
+    def test_reports_frozen(self, tmp_path, capsys, first, digest):
+        path = REF
+        if first is not None:
+            cfg = json.loads((CONFIG_DIR / "reference.json").read_text(encoding="utf-8"))
+            cfg["equations"][0] = first
+            path = tmp_path / "sup_at_one.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["constants", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert [e["t_star_m"] for e in json.loads(out)["equations"]] == (
+            [0, 0] if first is None else [1, 0])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_quadrature_option_rejected(self, tmp_path, capsys):
         # the removed key fails the run with exit 1 and its JSON pointer
         quad = write_config(tmp_path, lambda c: c["options"].update(

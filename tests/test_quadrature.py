@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraccert.kernel import KernelModel, ProblemParams, build_model, compute_c, validate_params
@@ -163,7 +163,7 @@ class TestConstants:
             p = model.params
             inv_m = p.beta + p.eta ** p.alpha / math.gamma(p.alpha + 1.0)
             assert 1.0 / rep.m == pytest.approx(inv_m, rel=1e-9)
-            assert rep.t_star_m == pytest.approx(0.0, abs=1e-6)
+            assert rep.t_star_m == 0.0
 
     def test_M_closed_form(self, model1, model2, constants1, constants2):
         # inf over [0, b] of int_0^b k is attained at t = b, giving
@@ -216,8 +216,39 @@ class TestConstants:
         m, t_star = compute_m(model)
         rows = [brute_integral(p, t) for t in np.linspace(0.0, 1.0, 21)]
         assert int(np.argmax(rows)) == 20
-        assert t_star == pytest.approx(1.0, abs=1e-9)
+        assert t_star == 1.0
         assert 1.0 / m == pytest.approx(rows[-1], rel=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.one_of(st.just(2.0), st.floats(1.0 + 1e-4, 1.01), st.floats(1.01, 2.0)),
+           eta=st.one_of(st.just(0.0), st.floats(1e-9, 0.95)),
+           log_beta=st.floats(math.log(1e-4), math.log(3.0)))
+    def test_sup_at_an_endpoint(self, alpha, eta, log_beta):
+        # R decreases up to eta + w and is convex past it, so its maximum
+        # over a 4,001-point scan sits at t = 0 or t = 1, and m is 1 over it
+        beta = math.exp(log_beta)
+        assume(beta * math.gamma(alpha) < (1.0 - eta) ** (alpha - 1.0))
+        p = ProblemParams(alpha=alpha, beta=beta, eta=eta, b=eta)
+        m, t_star = compute_m(KernelModel(params=p, c=compute_c(p),
+                                          gamma_alpha=math.gamma(alpha)))
+        ts = np.linspace(0.0, 1.0, 4001)
+        rows = abs_row_integral(p, ts)
+        assert t_star in (0.0, 1.0)
+        assert rows.max() == max(rows[0], rows[-1])
+        # bit for bit against the endpoints on their own; the scan's R(1)
+        # may sit a few ulps off, as the bisection for the crossing in
+        # (0, eta) runs until every row of a batch has converged
+        ends = [abs_row_integral(p, t)[0] for t in (0.0, 1.0)]
+        assert (m, t_star) == (1.0 / max(ends), float(ends[1] > ends[0]))
+        assert m * rows.max() == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        # sign structure by finite differences, with a rounding slack of
+        # 16 ulps of max R (the margins observed are >= 1e4 times larger)
+        slack = 16.0 * np.finfo(float).eps * rows.max()
+        w = (beta * math.gamma(alpha)) ** (1.0 / (alpha - 1.0))
+        left = ts - eta <= w
+        assert np.all(np.diff(rows)[left[1:]] <= slack)
+        second = rows[2:] - 2.0 * rows[1:-1] + rows[:-2]
+        assert np.all(second[~left[:-2]] >= -slack)
 
     def test_estimates_are_conservative(self, constants1, constants2):
         for rep in (constants1, constants2):
