@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -435,12 +434,14 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError("--init expects const:a,b or file:path.csv")
 
 
-def _solution_csv(grid, u: np.ndarray, v: np.ndarray) -> str:
-    rows = np.column_stack((grid.nodes, u, v))
+def _csv_text(header: str, columns) -> str:
+    """CSV text of equal-length float columns under ``header``, 17 digits."""
+    rows = np.column_stack(columns)
     finite = np.isfinite(rows)
     if not finite.all():
         _fmt_float(float(rows[~finite][0]))  # raises, naming the first non-finite value
-    return "t,u,v\n" + "".join(f"{t:.17g},{a:.17g},{b:.17g}\n" for t, a, b in rows.tolist())
+    line = ",".join(["{:.17g}"] * rows.shape[1]) + "\n"
+    return header + "\n" + "".join(line.format(*row) for row in rows.tolist())
 
 
 def _cmd_solve(args) -> int:
@@ -451,7 +452,7 @@ def _cmd_solve(args) -> int:
                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
     cones = cone_metrics(sol, problem.models)
     out_path = Path(args.out)
-    _write_atomic(out_path, _solution_csv(grid, sol.u_values, sol.v_values))
+    _write_atomic(out_path, _csv_text("t,u,v", (grid.nodes, sol.u_values, sol.v_values)))
     sidecar = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -459,7 +460,7 @@ def _cmd_solve(args) -> int:
         "tol": sol.tol,
         "damping": sol.damping,
         "nodes": int(grid.nodes.size),
-        "grid_requested": grid.n_requested,
+        "grid_requested": int(grid.nodes.size),
         "init": args.init,
         "cone": [
             {
@@ -487,16 +488,10 @@ def _cmd_kernel(args) -> int:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     p = problem_cfg.params[args.which - 1]
     grid = np.linspace(0.0, 1.0, args.grid)
-    table = kernel_values(p, grid[:, None], grid)
-    phis = phi_values(p, grid)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "s", "k", "phi"])
-    for t, ks in zip(grid, table):
-        for s, k, phi in zip(grid, ks, phis):
-            writer.writerow([_fmt_float(float(t)), _fmt_float(float(s)),
-                             _fmt_float(float(k)), _fmt_float(float(phi))])
-    _write_atomic(Path(args.out), buf.getvalue())
+    n = grid.size
+    columns = (np.repeat(grid, n), np.tile(grid, n),
+               kernel_values(p, grid[:, None], grid).ravel(), np.tile(phi_values(p, grid), n))
+    _write_atomic(Path(args.out), _csv_text("t,s,k,phi", columns))
     return 0
 
 

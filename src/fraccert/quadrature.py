@@ -52,7 +52,9 @@ def row_crossings(p: ProblemParams, t) -> tuple[np.ndarray, np.ndarray]:
     increases on [eta, t] and equals beta on [t, 1], so each side of its
     minimum k(t, eta) holds at most one crossing. The crossing on (eta, t)
     solves beta = (t - s)^(alpha-1)/Gamma(alpha) exactly; the one on
-    (0, eta) is found by bisection over the whole t-array at once.
+    (0, eta) is found by bisection over the whole t-array at once, each row
+    halving until its own bracket is narrower than _XTOL, so a row's
+    crossing does not depend on the rest of the batch.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     g = math.gamma(p.alpha)
@@ -64,11 +66,13 @@ def row_crossings(p: ProblemParams, t) -> tuple[np.ndarray, np.ndarray]:
     tt = t[need]
     a = np.zeros_like(tt)
     b = np.full_like(tt, p.eta)
-    while np.any(b - a > _XTOL):
-        mid = 0.5 * (a + b)
-        pos = p.beta + ((p.eta - mid) ** e - (tt - mid) ** e) / g > 0.0
-        a = np.where(pos, mid, a)
-        b = np.where(pos, b, mid)
+    live = np.flatnonzero(b - a > _XTOL)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        pos = p.beta + ((p.eta - mid) ** e - (tt[live] - mid) ** e) / g > 0.0
+        a[live] = np.where(pos, mid, a[live])
+        b[live] = np.where(pos, b[live], mid)
+        live = live[b[live] - a[live] > _XTOL]
     lo = np.full(t.shape, np.nan)
     lo[need] = 0.5 * (a + b)
     return lo, hi

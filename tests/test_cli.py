@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from fraccert.certify import Box3, ConditionFailed, check_nonexistence
 from fraccert.cli import (
     SchemaError,
     ValidationError,
-    _solution_csv,
+    _csv_text,
     dumps_report,
     load_config,
     main,
@@ -430,7 +429,7 @@ class TestSolveCommand:
         assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
 
     def test_csv_bytes_match_csv_writer(self):
-        # the f-string rows against the csv.writer rows they replaced
+        # the formatted rows against the csv.writer rows they replaced
         t = np.array([0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0])
         u = np.array([-0.0, 1e308, -1e308, 3.0, 1e16])
         v = np.array([2.0, -5e-324, 1e-310, -1.0, 0.1])
@@ -439,13 +438,28 @@ class TestSolveCommand:
         writer.writerow(["t", "u", "v"])
         for row in zip(t, u, v):
             writer.writerow([f"{float(x):.17g}" for x in row])
-        assert _solution_csv(SimpleNamespace(nodes=t), u, v) == buf.getvalue()
+        assert _csv_text("t,u,v", (t, u, v)) == buf.getvalue()
 
     def test_csv_names_the_first_non_finite_value(self):
         # the first in row order: v of row 1 comes before u of row 2
-        grid = SimpleNamespace(nodes=np.array([0.0, 0.5, 1.0]))
+        t = np.array([0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="^cannot serialize non-finite float nan$"):
-            _solution_csv(grid, np.array([1.0, 1.0, np.inf]), np.array([1.0, np.nan, 1.0]))
+            _csv_text("t,u,v", (t, np.array([1.0, 1.0, np.inf]), np.array([1.0, np.nan, 1.0])))
+
+    def test_interval_end_far_below_the_first_cell(self, tmp_path, capsys):
+        # near alpha = 1 with eta = 0 every admissible b is below 1e-19; as
+        # a node it made a cell that overflowed the interpolation basis
+        def mutate(c):
+            c["equations"][0] = {"alpha": 1.0625, "beta": 0.06459413757360319,
+                                 "eta": 0.0, "b": 2.710505431213761e-20}
+
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", write_config(tmp_path, mutate), "--grid", "64",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        meta = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert meta["converged"] and meta["nodes"] == meta["grid_requested"] == 64
+        assert all(c["in_cone"] for c in meta["cone"])
 
     def test_nonconvergence_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -530,6 +544,18 @@ class TestKernelCommand:
             expected = kernel_values(params1, float(t), ss)
             got = [float(r["k"]) for r in rows if float(r["t"]) == t]
             assert np.array_equal(np.asarray(got), expected)
+
+    # sha256 of the dump of each reference equation at --grid 101, recorded
+    # from the csv.writer rendering
+    @pytest.mark.parametrize("which, digest", [
+        ("1", "098c81646a8b49907eb9520860b10f3863aa53c4bbf1d37da0fcf7e0dd02781d"),
+        ("2", "c1f17d31a4f6b110dd4f6aeadbcf35e9bd0f91bb6b1b63a8c6d33131e7559686"),
+    ], ids=["eq1", "eq2"])
+    def test_dump_frozen(self, tmp_path, which, digest):
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--config", REF, "--which", which, "--grid", "101",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_which_choice_enforced(self, tmp_path, capsys):
         rc = main(["kernel", "--config", REF, "--which", "3", "--grid", "5",

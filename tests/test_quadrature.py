@@ -154,6 +154,16 @@ class TestCrossings:
         assert np.isnan(lo[0])
         assert abs(kernel(ONE_CROSSING, 1.0, hi)[0]) < 1e-12
 
+    def test_crossing_ignores_the_rest_of_the_batch(self):
+        # with eta = 0.2908 the bracket of row t = 1 falls below 1e-15 one
+        # halving before that of another row; halving it on with that row
+        # moved its crossing by 2.8e-16 and R(1) by 2 ulps
+        p = ProblemParams(1.0001, 0.00029602940057792994, 0.2908, 0.2908)
+        assert (abs_row_integral(p, np.linspace(0.0, 1.0, 513))[-1]
+                == abs_row_integral(p, [0.0, 1.0])[1])
+        lo = row_crossings(p, np.linspace(0.0, 1.0, 513))[0]
+        assert lo[-1] == row_crossings(p, [1.0])[0][0]
+
 
 class TestConstants:
     def test_m_closed_form(self, model1, model2, constants1, constants2):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from fraccert.exprlang import parse
 from fraccert.kernel import KernelModel, build_model, compute_c, kernel_values, validate_params
 from fraccert.solver import (
+    _GAUSS_W,
+    _GAUSS_X,
     GridSolution,
     _cell_weights,
+    _Cells,
     _cells,
     _lagrange_stencil,
-    _lattice_index,
     apply_T,
     build_grid,
     cone_metrics,
@@ -26,7 +28,7 @@ from test_certify import S6_F1, S6_F2
 
 
 def row_integral(params, t, degree=0):
-    """Closed form of int_0^1 k(t, s) s^degree ds."""
+    """Closed form of int_0^1 k(t, s) s^degree ds (t a float or an array)."""
     a = params.alpha
     factor = math.factorial(degree)
     return (params.beta / (degree + 1)
@@ -34,12 +36,21 @@ def row_integral(params, t, degree=0):
             / math.gamma(a + degree + 1))
 
 
+def pieces(nodes, eta):
+    """The cells of ``nodes`` with the one holding eta split there: a list of
+    (a, b) on which k(t_j, .) is smooth but for the right end, for every node t_j."""
+    out = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        out += [(a, eta), (eta, b)] if a < eta < b else [(a, b)]
+    return out
+
+
 def oracle_weights(params, nodes, levels=40, order=10):
     """Brute-force int_0^1 k(t_j, s) L_p(s) ds for every node pair.
 
-    Each cell gets a composite Gauss rule graded geometrically toward its
-    right end, the only place a kink of k(t_j, .) (eta or t_j, both
-    nodes) can sit, and L_p is read off the interpolation stencil.
+    Each piece gets a composite Gauss rule graded geometrically toward its
+    right end, the only place a kink of k(t_j, .) (eta or t_j) can sit, and
+    L_p is read off the interpolation stencil of the nodes.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.concatenate(([0.0], 1.0 - 2.0 ** -np.arange(1.0, levels + 1.0), [1.0]))
@@ -47,7 +58,7 @@ def oracle_weights(params, nodes, levels=40, order=10):
     sigma = (edges[:-1, None] + 0.5 * widths[:, None] * (x + 1.0)).ravel()
     sigma_w = (0.5 * widths[:, None] * w).ravel()
     W = np.zeros((nodes.size, nodes.size))
-    for a, b in zip(nodes[:-1], nodes[1:]):
+    for a, b in pieces(nodes, params.eta):
         s = a + (b - a) * sigma
         idx, basis = _lagrange_stencil(nodes, s)
         for j, t in enumerate(nodes):
@@ -55,27 +66,55 @@ def oracle_weights(params, nodes, levels=40, order=10):
     return W
 
 
+def split_cells(nodes, eta):
+    """``_cells(nodes)`` with the cell holding eta split at eta, each half keeping
+    the stencil of the whole cell, and those stencils as indices of ``nodes``."""
+    edges = np.array([a for a, _ in pieces(nodes, eta)] + [1.0])
+    width = np.diff(edges)
+    gs = edges[:-1, None] + width[:, None] * _GAUSS_X
+    idx, basis = _lagrange_stencil(nodes, gs.ravel())
+    stencil = idx[::_GAUSS_X.size]
+    rule = basis.reshape(gs.shape + (4,)) * (width[:, None] * _GAUSS_W)[:, :, None]
+    return _Cells(edges, np.searchsorted(edges, nodes[stencil]), gs, rule), stencil
+
+
 def generic_weights(model, nodes):
     """W from ``_cell_weights`` on every (row, cell) pair, summed cell by cell.
 
-    B comes the same way, as the alpha = 1 weights of the row t = 1.
+    B comes the same way, as the alpha = 1 weights of the row t = 1, and E
+    as the row t = eta over the cells split at eta, so that eta lies at a
+    cell end as every other row does.
     """
     p = model.params
     stencil = _lagrange_stencil(nodes, nodes[:-1])[0]
     cells = _cells(nodes)
     w = _cell_weights(p.alpha, cells, slice(None), nodes)
     ones = _cell_weights(1.0, cells, slice(None), np.ones(1))
+    split, split_stencil = split_cells(nodes, p.eta)
+    at_eta = _cell_weights(p.alpha, split, slice(None), np.array([p.eta]))
     R = np.zeros((nodes.size, nodes.size))
     B = np.zeros(nodes.size)
+    E = np.zeros(nodes.size)
     for c, cols in enumerate(stencil):
         R[:, cols] += w[c]
         B[cols] += ones[c, 0]
-    eta = int(np.searchsorted(nodes, p.eta))
-    return p.beta * B + (R[eta] - R) / model.gamma_alpha
+    for c, cols in enumerate(split_stencil):
+        E[cols] += at_eta[c, 0]
+    return p.beta * B + (E - R) / model.gamma_alpha
+
+
+def assert_cubics_integrated(models, n):
+    """W_i @ nodes**k against the closed form, k = 0..3, within 1e-13."""
+    grid = build_grid(models, n)
+    for W, model in zip(grid.weights, models):
+        for k in range(4):
+            expected = row_integral(model.params, grid.nodes, k)
+            assert np.max(np.abs(W @ grid.nodes**k - expected)) < 1e-13
+    return grid
 
 
 def assert_matches_generic(models, n):
-    grid = build_grid(models, n)
+    grid = assert_cubics_integrated(models, n)
     for W, model in zip(grid.weights, models):
         ref = generic_weights(model, grid.nodes)
         assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -103,23 +142,12 @@ ONE = parse("1")
 
 
 class TestGrid:
-    def test_breakpoints_inserted(self, model1, model2):
-        grid = build_grid((model1, model2), 8)
-        assert grid.n_requested == 8
-        assert grid.breakpoints == (2.0 / 3.0, 41.0 / 60.0, 0.75, 0.775)
-        # 41/60 is within h/4 of the uniform node 5/7 and takes its place
-        assert grid.nodes.size == 11
-        assert 5.0 / 7.0 not in grid.nodes
-        for x in grid.breakpoints:
-            assert np.min(np.abs(grid.nodes - x)) == 0.0
-        assert np.all(np.diff(grid.nodes) > 0)
-        assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
-
-    def test_breakpoint_collapses_onto_uniform_node(self, model1, model2):
-        # eta_1 = 0.75 is the uniform node 6/8 when n = 9
-        grid = build_grid((model1, model2), 9)
-        assert grid.nodes.size == 12
-        assert np.count_nonzero(np.abs(grid.nodes - 0.75) < 1e-15) == 1
+    def test_nodes_are_the_uniform_lattice(self, model1, model2):
+        # eta_1 = 0.75 is the node 6/8 at n = 9, and 41/60 lies within h/4
+        # of the node 5/7 at n = 8; no breakpoint is inserted or moves a node
+        for n in (8, 9, 201):
+            grid = build_grid((model1, model2), n)
+            assert grid.nodes.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
 
     def test_too_few_nodes(self, model1, model2):
         with pytest.raises(ValueError):
@@ -147,7 +175,7 @@ class TestGrid:
     @settings(max_examples=20, deadline=None)
     @given(st.floats(1.01, 2.0), st.floats(0.1, 0.9), st.floats(0.1, 0.9))
     def test_weights_match_oracle_over_alpha(self, alpha, eta, frac):
-        # b = eta adds no breakpoint of its own; beta is a fraction of its bound
+        # eta lies inside a cell unless it is a node; beta is a fraction of its bound
         beta = frac * (1.0 - eta) ** (alpha - 1.0) / math.gamma(alpha)
         model = unverified_model(alpha, beta, eta, eta)
         grid = build_grid((model, model), 16)
@@ -155,15 +183,17 @@ class TestGrid:
         assert np.max(np.abs(grid.weights[0] - oracle)) < 1e-10
 
     def test_alpha_two_weights_are_polynomial_integrals(self):
-        # at alpha = 2 the kernel is piecewise linear with kinks at nodes, so
-        # a 3-point Gauss rule per cell integrates it times the cubic basis
+        # at alpha = 2 the kernel is piecewise linear with kinks at the
+        # nodes and at eta = 0.5, inside the cell [7/15, 8/15]; split there,
+        # a 3-point Gauss rule per piece integrates it times the cubic basis
         # exactly
         model = unverified_model(2.0, 0.3, 0.5, 0.6)
         grid = build_grid((model, model), 16)
         nodes = grid.nodes
+        assert 0.5 not in nodes
         x, w = np.polynomial.legendre.leggauss(3)
         expected = np.zeros((nodes.size, nodes.size))
-        for a, b in zip(nodes[:-1], nodes[1:]):
+        for a, b in pieces(nodes, 0.5):
             s = a + 0.5 * (b - a) * (x + 1.0)
             idx, basis = _lagrange_stencil(nodes, s)
             for j, t in enumerate(nodes):
@@ -171,8 +201,7 @@ class TestGrid:
         assert np.max(np.abs(grid.weights[0] - expected)) < 1e-14
 
     def test_breakpoint_near_uniform_node_leaves_no_sliver(self, model1, model2):
-        # b_1 just off the uniform node 0.775 = 155/200 takes that node's
-        # place instead of making a 1e-10 cell beside it
+        # b_1 just off the uniform node 0.775 = 155/200 is no node at all
         params = validate_params(1.5, 0.2, 0.75, 0.775 + 1e-10)
         plain = build_grid((model1, model2), 201)
         grid = build_grid((build_model(params), model2), 201)
@@ -185,25 +214,34 @@ class TestGrid:
 
 @st.composite
 def admissible_models(draw):
-    """A kernel model from the admissible range, eta = 0 included, less the
-    slivers described below."""
+    """A kernel model from the admissible range, eta = 0 included."""
     alpha = draw(st.floats(1.0, 2.0, exclude_min=True))
     eta = draw(st.one_of(st.just(0.0), st.floats(1e-9, 0.95)))
     bound = (1.0 - eta) ** (alpha - 1.0) / math.gamma(alpha)
     beta = draw(st.floats(0.05, 0.95)) * bound
     reach = min(1.0 - eta, (beta * math.gamma(alpha)) ** (1.0 / (alpha - 1.0)))
     b = eta + draw(st.floats(0.05, 0.95)) * reach
-    # a cell [0, eta] or [eta, b] of width 1e-20 or less overflows the
-    # interpolation basis on either assembly (near alpha = 1 with eta = 0
-    # every admissible b is that small); the sliver is a defect of the node
-    # set, not of the lattice split tested here
-    assume(b - eta > 1e-9 or b == eta > 0.0)
+    assume(b > 0.0)
     return unverified_model(alpha, beta, eta, b)
+
+
+# (alpha, beta, eta, b) of one equation whose breakpoints would have made
+# sliver cells as nodes; each is paired with reference equation 1
+NODE = float(np.linspace(0.0, 1.0, 201)[150])
+SLIVERS = {
+    "eta-on-a-node": (1.5, 0.2, NODE, 0.775),
+    "eta-one-ulp-off-a-node": (1.5, 0.2, NODE + np.spacing(NODE), 0.775),
+    "eta-1e-9-past-eta-1": (1.25, 0.4, 0.75 + 1e-9, 0.75 + 1e-9),
+    "eta-by-0": (1.5, 0.5 * (1.0 - 1e-3) ** 0.5 / math.gamma(1.5), 1e-3, 1e-3),
+    "eta-by-1": (1.5, 0.5 * (1.0 - 0.999) ** 0.5 / math.gamma(1.5), 0.999, 0.999),
+    "eta-zero": (1.5, 0.2, 0.0, 0.02),
+    "b-2.7e-20": (1.0625, 0.06459413757360319, 0.0, 2.710505431213761e-20),
+}
 
 
 class TestLatticeAssembly:
     """The lattice table and its border against the generic routine on every
-    row and cell."""
+    row and cell, and the cubic moments of every row against closed forms."""
 
     def test_small_grid_has_no_lattice_part(self, model1, model2):
         assert_matches_generic((model1, model2), 8)
@@ -213,35 +251,40 @@ class TestLatticeAssembly:
 
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_breakpoint_on_or_one_ulp_off_a_lattice_node(self, model2, ulps):
-        # the lattice node is taken only when equal: one ulp off, eta is a
-        # node of its own, on no lattice row
-        node = np.linspace(0.0, 1.0, 201)[150]
-        eta = node + ulps * np.spacing(node)
-        model = unverified_model(1.5, 0.2, eta, 0.775)
+        # on a node or one ulp past it, eta sits at the end of a cell or
+        # inside the next one; the weights move by rounding only
+        name = "eta-on-a-node" if ulps == 0 else "eta-one-ulp-off-a-node"
+        model = unverified_model(*SLIVERS[name])
         grid = assert_matches_generic((model, model2), 201)
-        k = int(np.searchsorted(grid.nodes, eta))
-        assert grid.nodes[k] == eta
-        assert _lattice_index(grid.nodes, 201)[k] == (150 if ulps == 0 else -1)
+        on_node = build_grid((unverified_model(*SLIVERS["eta-on-a-node"]), model2), 201)
+        assert np.max(np.abs(grid.weights[0] - on_node.weights[0])) < 1e-15
 
     @pytest.mark.parametrize("n", [33, 201])
     def test_breakpoints_within_a_quarter_step(self, model1, n):
-        # eta_2 = 0.75 + 1e-9 leaves a sliver cell beside eta_1 = 0.75
-        model = unverified_model(1.25, 0.4, 0.75 + 1e-9, 0.75 + 1e-9)
+        # eta_2 = 0.75 + 1e-9 sits 1e-9 inside the cell after eta_1 = 0.75;
+        # as nodes the two made a 1e-9 cell and max|W| near 2.7e4
+        model = unverified_model(*SLIVERS["eta-1e-9-past-eta-1"])
         grid = assert_matches_generic((model1, model), n)
-        assert np.min(np.diff(grid.nodes)) < 2e-9
+        assert max(np.max(np.abs(W)) for W in grid.weights) < 1.0
 
     @pytest.mark.parametrize("eta", [1e-3, 0.999])
     def test_breakpoint_by_an_end(self, model1, eta):
-        # within h/4 of 0 or 1, where the ends of [0, 1] stay nodes
-        beta = 0.5 * (1.0 - eta) ** 0.5 / math.gamma(1.5)
-        model = unverified_model(1.5, beta, eta, eta)
-        grid = assert_matches_generic((model, model1), 201)
-        assert np.min(np.diff(grid.nodes)) < 0.25 / 200
+        # within h/4 of 0 or 1, inside the first or last cell
+        model = unverified_model(*SLIVERS["eta-by-0" if eta < 0.5 else "eta-by-1"])
+        assert model.params.eta == eta
+        assert_matches_generic((model, model1), 201)
 
     def test_eta_zero(self, model1):
-        model = unverified_model(1.5, 0.2, 0.0, 0.02)
+        model = unverified_model(*SLIVERS["eta-zero"])
         grid = assert_matches_generic((model, model1), 201)
         assert grid.nodes[0] == 0.0
+
+    @pytest.mark.parametrize("n", [16, 64, 201, 801])
+    def test_cubic_moments_on_sliver_configs(self, model1, model2, n):
+        assert_cubics_integrated((model1, model2), n)
+        for eq in SLIVERS.values():
+            grid = assert_cubics_integrated((unverified_model(*eq), model1), n)
+            assert all(np.isfinite(W).all() for W in grid.weights)
 
     @settings(max_examples=20, deadline=None)
     @given(admissible_models(), admissible_models(), st.integers(8, 400))
