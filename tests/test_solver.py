@@ -149,6 +149,22 @@ class TestGrid:
             grid = build_grid((model1, model2), n)
             assert grid.nodes.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
 
+    def test_breakpoints_inserted(self, model1, model2):
+        # the breakpoints 2/3, 41/60, 0.75 and 0.775 are no longer inserted
+        # as nodes at n = 8: each lies inside a lattice cell, 41/60 leaves the
+        # node 5/7 in place, and the weights still integrate exactly across them
+        nodes = assert_cubics_integrated((model1, model2), 8).nodes
+        assert nodes.size == 8
+        assert np.min(np.abs(nodes - 5.0 / 7.0)) < 1e-15
+        for x in (2.0 / 3.0, 41.0 / 60.0, 0.75, 0.775):
+            assert np.min(np.abs(nodes - x)) > 0.0
+
+    def test_breakpoint_collapses_onto_uniform_node(self, model1, model2):
+        # eta_1 = 0.75 is the uniform node 6/8 when n = 9; it stays one node
+        nodes = assert_cubics_integrated((model1, model2), 9).nodes
+        assert nodes.size == 9
+        assert np.count_nonzero(np.abs(nodes - 0.75) < 1e-15) == 1
+
     def test_too_few_nodes(self, model1, model2):
         with pytest.raises(ValueError):
             build_grid((model1, model2), 7)
