@@ -137,7 +137,8 @@ def load_config(path) -> ProblemConfig:
     and expression syntax -- is likewise aggregated (ValidationError).
     Both carry JSON-pointer paths. I/O problems propagate as OSError.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -244,8 +245,11 @@ def dumps_report(obj) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
+    # plain strings: pathlib interns every name it parses, and a fresh name
+    # per call makes the interpreter's interned-string table reallocate
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     os.replace(tmp, path)
 
 

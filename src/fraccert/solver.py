@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exprlang import Expr, eval_expr_array
 from .kernel import KernelModel
@@ -201,13 +200,16 @@ def _weight_matrices(models: tuple[KernelModel, KernelModel],
             _add_cells(R, c0, scale * _cell_weights(p.alpha, cells, slice(c0, c1), nodes))
         # phi(m) = sum_q V[m-1+q, q] for the scaled unit table V, stored
         # reversed at rev[N - m], so that row j of columns 4..N-5 is the
-        # window of rev from N - j + 4
+        # window of rev from N - j + 4, a view with strides (-8, 8). It is
+        # built directly, as sliding_window_view (as_strided) churns the
+        # interned-string table, whose ~1 MB regrowth can pin freed heap
         V = _cell_weights(p.alpha, _UNIT, slice(1, 2), np.arange(float(N)))[0]
         V *= scale * (1.0 / (N - 1)) ** p.alpha
         rev = np.zeros(2 * N + 3)
         for q in range(4):
             rev[q:N + q] += V[::-1, q]
-        R[:, 4:N - 4] = sliding_window_view(rev, N - 8)[N + 4:4:-1]
+        R[:, 4:N - 4] = np.ndarray((N, N - 8), buffer=rev, offset=8 * (N + 4),
+                                   strides=(-8, 8))
         E = np.zeros((1, N))
         _add_cells(E, 0, scale * _cell_weights(p.alpha, cells, slice(None), np.array([p.eta])))
         R += p.beta * B - E
