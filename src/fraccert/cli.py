@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -244,10 +243,10 @@ def dumps_report(obj) -> str:
     return "".join(out)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: str, text: str) -> None:
     # plain strings: pathlib interns every name it parses, and a fresh name
     # per call makes the interpreter's interned-string table reallocate
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
@@ -256,7 +255,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def _emit_json(report: dict, out_path: str | None) -> None:
     text = dumps_report(report)
     if out_path:
-        _write_atomic(Path(out_path), text)
+        _write_atomic(out_path, text)
     sys.stdout.write(text)
 
 
@@ -423,8 +422,8 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"--init values must be finite, got {text!r}")
         return np.full(grid.nodes.size, a), np.full(grid.nodes.size, b)
     if text.startswith("file:"):
-        path = Path(text[len("file:"):])
-        with path.open(newline="", encoding="utf-8") as fh:
+        path = text[len("file:"):]
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"t", "u", "v"} <= set(reader.fieldnames):
                 raise ValueError(f"--init file {path} must have columns t,u,v")
@@ -455,8 +454,7 @@ def _cmd_solve(args) -> int:
     sol = solve_picard(grid, problem.f[0], problem.f[1], init=init,
                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
     cones = cone_metrics(sol, problem.models)
-    out_path = Path(args.out)
-    _write_atomic(out_path, _csv_text("t,u,v", (grid.nodes, sol.u_values, sol.v_values)))
+    _write_atomic(args.out, _csv_text("t,u,v", (grid.nodes, sol.u_values, sol.v_values)))
     sidecar = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -475,7 +473,7 @@ def _cmd_solve(args) -> int:
             for rep in cones
         ],
     }
-    _write_atomic(out_path.with_suffix(".json"), dumps_report(sidecar))
+    _write_atomic(os.path.splitext(args.out)[0] + ".json", dumps_report(sidecar))
     sys.stdout.write(dumps_report(sidecar))
     if not sol.converged:
         sys.stderr.write(
@@ -495,7 +493,7 @@ def _cmd_kernel(args) -> int:
     n = grid.size
     columns = (np.repeat(grid, n), np.tile(grid, n),
                kernel_values(p, grid[:, None], grid).ravel(), np.tile(phi_values(p, grid), n))
-    _write_atomic(Path(args.out), _csv_text("t,s,k,phi", columns))
+    _write_atomic(args.out, _csv_text("t,s,k,phi", columns))
     return 0
 
 

@@ -10,12 +10,12 @@ is integrated exactly (product integration) against the local
 piecewise-cubic Lagrange interpolant of the integrand's nonlinear factor;
 the kink of k(t, .) at t is a node, and the one at eta is integrated
 inside its cell. That yields one dense weight matrix per equation, so one
-fixed-point application is two matrix-vector products. A weight depends
-only on the offset of row and column, except in the four columns at each
-end of [0, 1] (the border), so the rest is read from one table of the
-unit cell scaled by h^alpha, and the border cells are integrated cell by
-cell by the same rule. Cone membership takes the minimum over the nodes
-in [0, b] and the interpolant at b.
+fixed-point application is two matrix-vector products. Every lattice
+cell is one of the three cells of a unit lattice moved into place, so
+the weights are built from those alone: a weight depends only on the
+offset of row and column but in the first four columns and the last row,
+which one routine integrates with the two rank-one rows. Cone membership
+takes the minimum over the nodes in [0, b] and the interpolant at b.
 The fixed point itself is found by damped Picard iteration;
 non-convergence is a flagged outcome, never an exception.
 """
@@ -93,9 +93,9 @@ class SystemGrid:
     ``weights[i][j, p]`` is int_0^1 k_{i+1}(t_j, s) L_p(s) ds, exact up to
     roundoff, for the piecewise-cubic cardinal function L_p of node p, so
     weights[i] @ g integrates k_{i+1}(t_j, .) against the interpolant of
-    the node values g (exactly for cubic g, kinks of k included). For a
-    column p away from the border, the fractional part of the entry is a
-    function of j - p alone.
+    the node values g (exactly for cubic g, kinks of k included). Outside
+    the first four columns and the last row, the fractional part of the
+    entry is a function of j - p alone.
     """
 
     nodes: np.ndarray
@@ -122,7 +122,7 @@ def _cells(nodes: np.ndarray) -> _Cells:
     return _Cells(nodes, stencil[::g], gs, rule)
 
 
-# the unit lattice cell [0, 1] with stencil -1, 0, 1, 2
+# the cells [-1, 0], [0, 1], [1, 2] of stencil -1..2: a lattice's first, inner and last cell
 _UNIT = _cells(np.arange(-1.0, 3.0))
 
 
@@ -160,58 +160,58 @@ def _cell_weights(alpha: float, cells: _Cells, sel: slice, t: np.ndarray) -> np.
     return out
 
 
-def _add_cells(R: np.ndarray, c0: int, w: np.ndarray) -> None:
-    """R += the weights w[k] of cell c0 + k on its stencil's columns."""
-    N, m = R.shape[1], w.shape[0]
-    a, b = max(c0, 1), min(c0 + m, N - 2)  # cells 1..N-3 have stencil c-1..c+2
+def _rows(alpha: float, x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """R's rows at the times ``x`` over the first ``m`` cells of the n-node
+    lattice of step 1, as far as those cells' stencils reach. Cell c has
+    stencil start s = clip(c - 1, 0, n - 4): it is the ``_UNIT`` cell c - s
+    moved by s + 1, and only that unit cell is evaluated for it."""
+    out = np.zeros((x.size, min(m + 2, n)))
+    out[:, :4] = _cell_weights(alpha, _UNIT, slice(0, 1), x - 1.0)[0]
+    c = np.arange(1.0, min(m, n - 2))
+    w = _cell_weights(alpha, _UNIT, slice(1, 2), (x - c[:, None]).ravel())[0]
     for q in range(4):
-        R[:, a - 1 + q:b - 1 + q] += w[a - c0:b - c0, :, q].T
-    if c0 == 0:
-        R[:, :4] += w[0]
-    if c0 + m == N - 1:
-        R[:, N - 4:] += w[-1]
+        out[:, q:q + c.size] += w[:, q].reshape(c.size, x.size).T
+    if m == n - 1:
+        out[:, n - 4:] += _cell_weights(alpha, _UNIT, slice(2, 3), x - (n - 3.0))[0]
+    return out
 
 
 def _weight_matrices(models: tuple[KernelModel, KernelModel],
-                     nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha) per model, with
     B[p] = int_0^1 L_p, R[j, p] = int_0^{t_j} (t_j - s)^(alpha-1) L_p(s) ds
-    and E = R at eta.
+    and E = R at eta, on the nodes t_j = j h, h = 1/(n - 1).
 
-    The nodes np.linspace(0, 1, N) form a lattice of step h. A cell c with
-    stencil c-1..c+2 (cells 1..N-3) has, in row j, h^alpha times the
-    weights of the unit cell [0, 1] in row j - c. So R[j, p] = phi(j - p)
-    for every column p that only such cells touch (4..N-5), phi folded
-    from one table of the unit cell. The cells whose stencils touch the
-    first or last four columns (0..4 and N-6..N-2) go to ``_cell_weights``,
-    and so does the row E, whose kink eta may lie inside a cell.
+    All are built in lattice units (h = 1, R scaled by h^alpha). A cell c
+    with stencil c-1..c+2 (cells 1..n-3) has, in row j, the weights of the
+    unit cell [0, 1] in row j - c, so R[j, p] = phi(j - p), phi folded from
+    one table of the unit cell, but in the columns 0..3, which cell 0 also
+    reaches, and in the last row: elsewhere the fold's cells past the right
+    end and the real last cell start at or after t_j and weigh 0.
+    ``_rows`` gives the columns 0..3 (cells 0..4), the last row, E and B.
     """
-    N = nodes.size
-    cells = _cells(nodes)
-    B = np.zeros((1, N))
-    _add_cells(B, 0, _cell_weights(1.0, cells, slice(None), np.ones(1)))
-    border = ((0, 5), (max(5, N - 6), N - 1))  # disjoint, as N >= 8
+    h = 1.0 / (n - 1)
+    x = np.arange(float(n))
+    B = h * _rows(1.0, x[-1:], n - 1, n)
     out = []
     for model in models:
         p = model.params
-        scale = -1.0 / model.gamma_alpha  # R and E are built times this
-        R = np.zeros((N, N))
-        for c0, c1 in border:
-            _add_cells(R, c0, scale * _cell_weights(p.alpha, cells, slice(c0, c1), nodes))
-        # phi(m) = sum_q V[m-1+q, q] for the scaled unit table V, stored
-        # reversed at rev[N - m], so that row j of columns 4..N-5 is the
-        # window of rev from N - j + 4, a view with strides (-8, 8). It is
-        # built directly, as sliding_window_view (as_strided) churns the
-        # interned-string table, whose ~1 MB regrowth can pin freed heap
-        V = _cell_weights(p.alpha, _UNIT, slice(1, 2), np.arange(float(N)))[0]
-        V *= scale * (1.0 / (N - 1)) ** p.alpha
-        rev = np.zeros(2 * N + 3)
+        scale = -h**p.alpha / model.gamma_alpha  # R and E are built times this
+        # the O(N) rows first, so that their temporaries never coexist with R
+        left = scale * _rows(p.alpha, x, 5, n)[:, :4]
+        last, E = scale * _rows(p.alpha, np.array([n - 1.0, p.eta * (n - 1)]), n - 1, n)
+        # phi(m) = sum_q V[m-1+q, q] for the unit table V, stored reversed
+        # at rev[n - m], so that row j of R is the window of rev from n - j,
+        # a view with strides (-8, 8). It is built directly, as
+        # sliding_window_view (as_strided) churns the interned-string table,
+        # whose ~1 MB regrowth can pin freed heap
+        V = scale * _cell_weights(p.alpha, _UNIT, slice(1, 2), x)[0]
+        rev = np.zeros(2 * n + 3)
         for q in range(4):
-            rev[q:N + q] += V[::-1, q]
-        R[:, 4:N - 4] = np.ndarray((N, N - 8), buffer=rev, offset=8 * (N + 4),
-                                   strides=(-8, 8))
-        E = np.zeros((1, N))
-        _add_cells(E, 0, scale * _cell_weights(p.alpha, cells, slice(None), np.array([p.eta])))
+            rev[q:n + q] += V[::-1, q]
+        R = np.array(np.ndarray((n, n), buffer=rev, offset=8 * n, strides=(-8, 8)), order="C")
+        R[:, :4] = left
+        R[-1] = last
         R += p.beta * B - E
         out.append(R)
     return tuple(out)
@@ -223,7 +223,7 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {n}")
     nodes = np.linspace(0.0, 1.0, n)
-    return SystemGrid(nodes=nodes, weights=_weight_matrices(models, nodes))
+    return SystemGrid(nodes=nodes, weights=_weight_matrices(models, n))
 
 
 def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,

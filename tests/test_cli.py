@@ -420,6 +420,13 @@ class TestSolveCommand:
         exact = 10.0 * (params1.beta + (params1.eta**a - ts**a) / g)
         assert np.max(np.abs(us - exact)) < 1e-7
 
+    @pytest.mark.parametrize("name", ["out.csv", "out", "out."])
+    def test_sidecar_replaces_the_extension(self, tmp_path, capsys, name):
+        rc = main(["solve", "--config", REF, "--grid", "8", "--out", str(tmp_path / name)])
+        assert rc == 0
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({name, "out.json"})
+
     def test_output_bytes_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         for out in (out1, out2):

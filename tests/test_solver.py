@@ -1,6 +1,7 @@
 """Collocation grid, Hammerstein operator, Picard iteration and cone checks."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestLatticeAssembly:
 
     def test_reference_at_801_nodes(self, model1, model2):
         assert_matches_generic((model1, model2), 801)
+
+    def test_assembly_allocates_no_square_temporary(self, model1, model2):
+        # the two W take 16 N^2 bytes; everything else must stay O(N), so
+        # one more (N, N) array (8 N^2 bytes) would exceed the allowance
+        n = 801
+        build_grid((model1, model2), n)
+        tracemalloc.start()
+        try:
+            build_grid((model1, model2), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n + 2048 * n
 
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_breakpoint_on_or_one_ulp_off_a_lattice_node(self, model2, ulps):
