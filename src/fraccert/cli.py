@@ -490,10 +490,16 @@ def _cmd_kernel(args) -> int:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     p = problem_cfg.params[args.which - 1]
     grid = np.linspace(0.0, 1.0, args.grid)
-    n = grid.size
-    columns = (np.repeat(grid, n), np.tile(grid, n),
-               kernel_values(p, grid[:, None], grid).ravel(), np.tile(phi_values(p, grid), n))
-    _write_atomic(args.out, _csv_text("t,s,k,phi", columns))
+    k = kernel_values(p, grid[:, None], grid)
+    if not np.isfinite(k).all():
+        _fmt_float(float(k[~np.isfinite(k)][0]))  # raises, naming the first non-finite value
+    # t, s and phi repeat over the n^2 rows: each is formatted once, into one
+    # template for the n rows of a t, whose fields are t and those rows' k
+    text = [_fmt_float(x) for x in grid.tolist()]
+    template = "".join(f"{{0}},{s},{{{q}:.17g}},{_fmt_float(f)}\n"
+                       for q, (s, f) in enumerate(zip(text, phi_values(p, grid).tolist()), 1))
+    _write_atomic(args.out, "t,s,k,phi\n" + "".join(
+        template.format(t, *row) for t, row in zip(text, k.tolist())))
     return 0
 
 

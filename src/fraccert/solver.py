@@ -9,15 +9,15 @@ is discretized on the uniform nodes np.linspace(0, 1, n). Each kernel row
 is integrated exactly (product integration) against the local
 piecewise-cubic Lagrange interpolant of the integrand's nonlinear factor;
 the kink of k(t, .) at t is a node, and the one at eta is integrated
-inside its cell. That yields one dense weight matrix per equation, so one
-fixed-point application is two matrix-vector products. Every lattice
-cell is one of the three cells of a unit lattice moved into place, so
-the weights are built from those alone: a weight depends only on the
-offset of row and column but in the first four columns and the last row,
-which one routine integrates with the two rank-one rows. Cone membership
-takes the minimum over the nodes in [0, b] and the interpolant at b.
-The fixed point itself is found by damped Picard iteration;
-non-convergence is a flagged outcome, never an exception.
+inside its cell. Every lattice cell is one of the three cells of a unit
+lattice moved into place, so a weight depends only on the offset of row
+and column but in the first four columns and the last row: the operator
+is a lower-triangular Toeplitz matrix, applied as one FFT convolution
+for both equations, plus O(n) corrections (those columns, that row and a
+rank-one term), which one routine integrates. No dense matrix is formed.
+Cone membership takes the minimum over the nodes in [0, b] and the
+interpolant at b. The fixed point itself is found by damped Picard
+iteration; non-convergence is a flagged outcome, never an exception.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W
 # roundoff tolerated below the cone's lower bound
 _CONE_TOL = 1e-9
 
+# row r, column q: the r-th of the three stencil nodes other than q
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]).T
+
 
 def _lagrange_stencil(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Four-point Lagrange interpolation data for each evaluation point.
@@ -66,16 +69,8 @@ def _lagrange_stencil(nodes: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np
     start = np.clip(cell - 1, 0, n - 4)
     idx = start[:, None] + np.arange(4)[None, :]
     xn = nodes[idx]
-    basis = np.empty_like(xn)
-    for p in range(4):
-        num = np.ones(xs.shape)
-        den = np.ones(xs.shape)
-        for q in range(4):
-            if q == p:
-                continue
-            num *= xs - xn[:, q]
-            den *= xn[:, p] - xn[:, q]
-        basis[:, p] = num / den
+    others = xn[:, _OTHERS]
+    basis = (xs[:, None, None] - others).prod(axis=1) / (xn[:, None, :] - others).prod(axis=1)
     return idx, basis
 
 
@@ -88,18 +83,24 @@ def interpolate_nodes(nodes: np.ndarray, values: np.ndarray, ts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SystemGrid:
-    """Shared node set and per-equation integration weight matrices.
+    """Shared node set and the collocation operator of both equations.
 
-    ``weights[i][j, p]`` is int_0^1 k_{i+1}(t_j, s) L_p(s) ds, exact up to
-    roundoff, for the piecewise-cubic cardinal function L_p of node p, so
-    weights[i] @ g integrates k_{i+1}(t_j, .) against the interpolant of
-    the node values g (exactly for cubic g, kinks of k included). Outside
-    the first four columns and the last row, the fractional part of the
-    entry is a function of j - p alone.
+    W_i[j, p] = int_0^1 k_{i+1}(t_j, s) L_p(s) ds, exact up to roundoff, for
+    the piecewise-cubic cardinal function L_p of node p, so W_i g integrates
+    k_{i+1}(t_j, .) against the interpolant of the node values g (exactly
+    for cubic g, kinks of k included). W_i = R_i + 1 c_i^T with R_i = -R/Gamma
+    and c_i = beta B + E/Gamma (``build_grid``), and R_i[j, p] = phi_i(j - p)
+    but in the first four columns and the last row. Stacked over i:
+    ``spectrum``, the rfft of length ``length`` of phi_i(k - 2) for
+    k = 0..n+2 (phi_i vanishes below -1); ``left``, the first four columns
+    of R_i; ``rows``, c_i and the last row of R_i.
     """
 
     nodes: np.ndarray
-    weights: tuple[np.ndarray, np.ndarray]
+    spectrum: np.ndarray
+    left: np.ndarray
+    rows: np.ndarray
+    length: int
 
 
 class _Cells(NamedTuple):
@@ -126,6 +127,9 @@ def _cells(nodes: np.ndarray) -> _Cells:
 _UNIT = _cells(np.arange(-1.0, 3.0))
 
 
+_POWERS = np.arange(4.0)[:, None]  # the moments' exponents, less alpha - 1
+
+
 def _cell_weights(alpha: float, cells: _Cells, sel: slice, t: np.ndarray) -> np.ndarray:
     """Product-integration weights of the cells ``sel`` for the rows ``t``.
 
@@ -148,98 +152,100 @@ def _cell_weights(alpha: float, cells: _Cells, sel: slice, t: np.ndarray) -> np.
     # are O(1), so neither the moments of u^(alpha-1+k) nor the product form
     # of basis cubic q, prod_{r != q} (u - u_r)/(u_q - u_r), cancel
     kk, jj = np.nonzero((t > lo[:, None]) & (t - hi[:, None] <= w[:, None]))
-    tj, wk = t[jj, None], w[kk, None]
-    k = alpha + np.arange(4.0)
-    mom = (((tj - lo[kk, None]) / wk) ** k - (np.maximum(tj - hi[kk, None], 0.0) / wk) ** k) / k
-    u = (tj - nodes[cells.stencil[sel][kk]]) / wk
-    r = u[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]  # the other three per q
-    e2 = r[..., 0] * r[..., 1] + r[..., 2] * (r[..., 0] + r[..., 1])
-    num = (mom[:, 3:] - r.sum(axis=2) * mom[:, 2:3] + e2 * mom[:, 1:2]
-           - r.prod(axis=2) * mom[:, :1])
-    out[kk, jj] = num / (u[:, :, None] - r).prod(axis=2) * wk**alpha
+    tj, wk = t[jj], w[kk]
+    k = _POWERS + alpha
+    mom = (((tj - lo[kk]) / wk) ** k - (np.maximum(tj - hi[kk], 0.0) / wk) ** k) / k
+    u = (tj - nodes[cells.stencil[sel][kk]].T) / wk
+    r0, r1, r2 = u[_OTHERS]  # the other three stencil nodes of each q
+    s, p = r0 + r1, r0 * r1
+    num = mom[3] - (s + r2) * mom[2] + (p + r2 * s) * mom[1] - p * r2 * mom[0]
+    out[kk, jj] = (num / ((u - r0) * (u - r1) * (u - r2)) * wk**alpha).T
     return out
 
 
-def _rows(alpha: float, x: np.ndarray, m: int, n: int) -> np.ndarray:
-    """R's rows at the times ``x`` over the first ``m`` cells of the n-node
-    lattice of step 1, as far as those cells' stencils reach. Cell c has
-    stencil start s = clip(c - 1, 0, n - 4): it is the ``_UNIT`` cell c - s
-    moved by s + 1, and only that unit cell is evaluated for it."""
-    out = np.zeros((x.size, min(m + 2, n)))
+def _rows(alpha: float, x: np.ndarray, n: int) -> np.ndarray:
+    """R's rows at the times ``x`` on the n-node lattice of step 1. Cell c
+    has stencil start s = clip(c - 1, 0, n - 4): it is the ``_UNIT`` cell
+    c - s moved by s + 1, and only that unit cell is evaluated for it."""
+    out = np.zeros((x.size, n))
     out[:, :4] = _cell_weights(alpha, _UNIT, slice(0, 1), x - 1.0)[0]
-    c = np.arange(1.0, min(m, n - 2))
+    c = np.arange(1.0, n - 2)
     w = _cell_weights(alpha, _UNIT, slice(1, 2), (x - c[:, None]).ravel())[0]
     for q in range(4):
         out[:, q:q + c.size] += w[:, q].reshape(c.size, x.size).T
-    if m == n - 1:
-        out[:, n - 4:] += _cell_weights(alpha, _UNIT, slice(2, 3), x - (n - 3.0))[0]
+    out[:, n - 4:] += _cell_weights(alpha, _UNIT, slice(2, 3), x - (n - 3.0))[0]
     return out
 
 
-def _weight_matrices(models: tuple[KernelModel, KernelModel],
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha) per model, with
+def _transform_length(n: int) -> int:
+    """The least power of two >= 2n: with n + 3 taps and n inputs, the
+    outputs 2..n+1 do not wrap, and a large prime factor of the length
+    would send pocketfft to Bluestein's algorithm, several times slower."""
+    return 1 << (2 * n - 1).bit_length()
+
+
+def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
+    """The ``n`` uniform nodes on [0, 1] and the operator of both equations,
+    W = beta * 1 B^T + (1 E^T - R)/Gamma(alpha) per model, with
     B[p] = int_0^1 L_p, R[j, p] = int_0^{t_j} (t_j - s)^(alpha-1) L_p(s) ds
     and E = R at eta, on the nodes t_j = j h, h = 1/(n - 1).
 
     All are built in lattice units (h = 1, R scaled by h^alpha). A cell c
-    with stencil c-1..c+2 (cells 1..n-3) has, in row j, the weights of the
-    unit cell [0, 1] in row j - c, so R[j, p] = phi(j - p), phi folded from
-    one table of the unit cell, but in the columns 0..3, which cell 0 also
-    reaches, and in the last row: elsewhere the fold's cells past the right
-    end and the real last cell start at or after t_j and weigh 0.
-    ``_rows`` gives the columns 0..3 (cells 0..4), the last row, E and B.
+    with stencil c-1..c+2 (cells 1..n-3) has, in row j, the weights V[j - c]
+    of the unit cell [0, 1], so R[j, p] = phi(j - p), phi folded from V,
+    but in the columns 0..3, which cell 0 also reaches, and in the last
+    row: elsewhere the fold's cells past the right end and the real last
+    cell start at or after t_j and weigh 0. The columns 0..3 are cell 0
+    (the unit cell [-1, 0] moved by 1) plus cells 1..4 read from V;
+    ``_rows`` gives the last row, E and B.
     """
-    h = 1.0 / (n - 1)
-    x = np.arange(float(n))
-    B = h * _rows(1.0, x[-1:], n - 1, n)
-    out = []
-    for model in models:
-        p = model.params
-        scale = -h**p.alpha / model.gamma_alpha  # R and E are built times this
-        # the O(N) rows first, so that their temporaries never coexist with R
-        left = scale * _rows(p.alpha, x, 5, n)[:, :4]
-        last, E = scale * _rows(p.alpha, np.array([n - 1.0, p.eta * (n - 1)]), n - 1, n)
-        # phi(m) = sum_q V[m-1+q, q] for the unit table V, stored reversed
-        # at rev[n - m], so that row j of R is the window of rev from n - j,
-        # a view with strides (-8, 8). It is built directly, as
-        # sliding_window_view (as_strided) churns the interned-string table,
-        # whose ~1 MB regrowth can pin freed heap
-        V = scale * _cell_weights(p.alpha, _UNIT, slice(1, 2), x)[0]
-        rev = np.zeros(2 * n + 3)
-        for q in range(4):
-            rev[q:n + q] += V[::-1, q]
-        R = np.array(np.ndarray((n, n), buffer=rev, offset=8 * n, strides=(-8, 8)), order="C")
-        R[:, :4] = left
-        R[-1] = last
-        R += p.beta * B - E
-        out.append(R)
-    return tuple(out)
-
-
-def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
-    """Build the collocation grid, ``n`` uniform nodes on [0, 1], and the
-    weight matrices for both equations."""
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {n}")
-    nodes = np.linspace(0.0, 1.0, n)
-    return SystemGrid(nodes=nodes, weights=_weight_matrices(models, n))
+    h = 1.0 / (n - 1)
+    x = np.arange(float(n))
+    size = _transform_length(n)
+    B = h * _rows(1.0, x[-1:], n)[0]
+    taps = np.zeros((2, size))
+    left = np.zeros((2, n, 4))
+    rows = np.empty((2, 2, n))
+    for i, model in enumerate(models):
+        p = model.params
+        scale = -h**p.alpha / model.gamma_alpha  # R and E are built times this
+        last, E = scale * _rows(p.alpha, np.array([n - 1.0, p.eta * (n - 1)]), n)
+        rows[i] = p.beta * B - E, last
+        first, V = scale * _cell_weights(p.alpha, _UNIT, slice(0, 2), x)
+        left[i, 1:] = first[:-1]
+        for c in range(1, 5):
+            left[i, c:, c - 1:] += V[:n - c, :5 - c]
+        # phi(m) = sum_q V[m-1+q, q], at taps[m + 2]
+        for q in range(4):
+            taps[i, 3 - q:n + 3 - q] += V[:, q]
+    return SystemGrid(nodes=np.linspace(0.0, 1.0, n), spectrum=np.fft.rfft(taps),
+                      left=left, rows=rows, length=size)
 
 
 def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One application of the Hammerstein operator at the grid nodes."""
+    """One application of the Hammerstein operator at the grid nodes: one
+    FFT convolution for both equations, then the O(n) corrections."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    n = grid.nodes.size
     if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
         raise ValueError(
             f"state shapes {u.shape}, {v.shape} do not match the grid {grid.nodes.shape}"
         )
-    # a constant f evaluates to a stride-0 view, which W @ g would multiply
-    # without BLAS
-    g1 = np.ascontiguousarray(eval_expr_array(f1, grid.nodes, u, v))
-    g2 = np.ascontiguousarray(eval_expr_array(f2, grid.nodes, u, v))
-    return grid.weights[0] @ g1, grid.weights[1] @ g2
+    g = np.empty((2, n))
+    g[0] = eval_expr_array(f1, grid.nodes, u, v)
+    g[1] = eval_expr_array(f2, grid.nodes, u, v)
+    dots = np.matmul(grid.rows, g[:, :, None])[..., 0]
+    head = np.matmul(grid.left, g[:, :4, None])[..., 0]
+    g[:, :4] = 0.0
+    out = np.fft.irfft(np.fft.rfft(g, grid.length) * grid.spectrum, grid.length)[:, 2:n + 2]
+    out += head
+    out[:, -1] = dots[:, 1]
+    out += dots[:, :1]
+    return out[0], out[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,11 +14,13 @@ from fraccert.kernel import KernelModel, build_model, compute_c, kernel_values, 
 from fraccert.solver import (
     _GAUSS_W,
     _GAUSS_X,
+    _MIN_NODES,
     GridSolution,
     _cell_weights,
     _Cells,
     _cells,
     _lagrange_stencil,
+    _transform_length,
     apply_T,
     build_grid,
     cone_metrics,
@@ -79,47 +81,75 @@ def split_cells(nodes, eta):
     return _Cells(edges, np.searchsorted(edges, nodes[stencil]), gs, rule), stencil
 
 
-def generic_weights(model, nodes):
+def generic_weights(model, nodes, block=128):
     """W from ``_cell_weights`` on every (row, cell) pair, summed cell by cell.
 
     B comes the same way, as the alpha = 1 weights of the row t = 1, and E
     as the row t = eta over the cells split at eta, so that eta lies at a
-    cell end as every other row does.
+    cell end as every other row does. The rows go ``block`` at a time, which
+    keeps the (cells, rows, 8) Gauss table small at 1,601 nodes.
     """
     p = model.params
     stencil = _lagrange_stencil(nodes, nodes[:-1])[0]
     cells = _cells(nodes)
-    w = _cell_weights(p.alpha, cells, slice(None), nodes)
     ones = _cell_weights(1.0, cells, slice(None), np.ones(1))
     split, split_stencil = split_cells(nodes, p.eta)
     at_eta = _cell_weights(p.alpha, split, slice(None), np.array([p.eta]))
     R = np.zeros((nodes.size, nodes.size))
     B = np.zeros(nodes.size)
     E = np.zeros(nodes.size)
+    for lo in range(0, nodes.size, block):
+        w = _cell_weights(p.alpha, cells, slice(None), nodes[lo:lo + block])
+        for c, cols in enumerate(stencil):
+            R[lo:lo + block, cols] += w[c]
     for c, cols in enumerate(stencil):
-        R[:, cols] += w[c]
         B[cols] += ones[c, 0]
     for c, cols in enumerate(split_stencil):
         E[cols] += at_eta[c, 0]
     return p.beta * B + (E - R) / model.gamma_alpha
 
 
+STATE_U, STATE_V = parse("u"), parse("v")
+
+
+def dense_weights(grid):
+    """Both W_i as dense matrices: column p is the operator applied to the
+    unit vector e_p, with f_1 = u and f_2 = v."""
+    cols = [apply_T(grid, STATE_U, STATE_V, e, e) for e in np.eye(grid.nodes.size)]
+    return tuple(np.array([col[i] for col in cols]).T for i in range(2))
+
+
 def assert_cubics_integrated(models, n):
-    """W_i @ nodes**k against the closed form, k = 0..3, within 1e-13."""
+    """W_i @ nodes**k against the closed form, k = 0..3, within 1e-13.
+    Returns the grid and its dense W_i."""
     grid = build_grid(models, n)
-    for W, model in zip(grid.weights, models):
+    weights = dense_weights(grid)
+    for W, model in zip(weights, models):
         for k in range(4):
             expected = row_integral(model.params, grid.nodes, k)
             assert np.max(np.abs(W @ grid.nodes**k - expected)) < 1e-13
-    return grid
+    return grid, weights
 
 
 def assert_matches_generic(models, n):
-    grid = assert_cubics_integrated(models, n)
-    for W, model in zip(grid.weights, models):
+    grid, weights = assert_cubics_integrated(models, n)
+    for W, model in zip(weights, models):
         ref = generic_weights(model, grid.nodes)
         assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
-    return grid
+    return grid, weights
+
+
+def assert_apply_matches_generic(models, n):
+    """apply_T against generic_weights @ g for seeded random g, within
+    1e-13 * max|W| * ||g||_1 per equation."""
+    grid = build_grid(models, n)
+    refs = [generic_weights(model, grid.nodes) for model in models]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g1, g2 = rng.standard_normal((2, n))
+        for Tg, W, g in zip(apply_T(grid, STATE_U, STATE_V, g1, g2), refs, (g1, g2)):
+            bound = 1e-13 * np.max(np.abs(W)) * np.sum(np.abs(g))
+            assert np.max(np.abs(Tg - W @ g)) <= bound
 
 
 def unverified_model(alpha, beta, eta, b):
@@ -154,7 +184,7 @@ class TestGrid:
         # the breakpoints 2/3, 41/60, 0.75 and 0.775 are no longer inserted
         # as nodes at n = 8: each lies inside a lattice cell, 41/60 leaves the
         # node 5/7 in place, and the weights still integrate exactly across them
-        nodes = assert_cubics_integrated((model1, model2), 8).nodes
+        nodes = assert_cubics_integrated((model1, model2), 8)[0].nodes
         assert nodes.size == 8
         assert np.min(np.abs(nodes - 5.0 / 7.0)) < 1e-15
         for x in (2.0 / 3.0, 41.0 / 60.0, 0.75, 0.775):
@@ -162,7 +192,7 @@ class TestGrid:
 
     def test_breakpoint_collapses_onto_uniform_node(self, model1, model2):
         # eta_1 = 0.75 is the uniform node 6/8 when n = 9; it stays one node
-        nodes = assert_cubics_integrated((model1, model2), 9).nodes
+        nodes = assert_cubics_integrated((model1, model2), 9)[0].nodes
         assert nodes.size == 9
         assert np.count_nonzero(np.abs(nodes - 0.75) < 1e-15) == 1
 
@@ -172,13 +202,13 @@ class TestGrid:
 
     def test_weights_integrate_constant(self, grid64, params1, params2):
         ones = np.ones(grid64.nodes.size)
-        for w, params in ((grid64.weights[0], params1), (grid64.weights[1], params2)):
+        for w, params in zip(dense_weights(grid64), (params1, params2)):
             expected = np.array([row_integral(params, t) for t in grid64.nodes])
             assert np.max(np.abs(w @ ones - expected)) < 1e-13
 
     def test_weights_integrate_cubics(self, grid64, params1, params2):
         nodes = grid64.nodes
-        for w, params in ((grid64.weights[0], params1), (grid64.weights[1], params2)):
+        for w, params in zip(dense_weights(grid64), (params1, params2)):
             for k in range(4):
                 expected = np.array([row_integral(params, t, k) for t in nodes])
                 assert np.max(np.abs(w @ nodes**k - expected)) < 1e-13
@@ -186,7 +216,7 @@ class TestGrid:
     @pytest.mark.parametrize("n", [16, 64])
     def test_weights_match_oracle(self, model1, model2, n):
         grid = build_grid((model1, model2), n)
-        for w, model in zip(grid.weights, (model1, model2)):
+        for w, model in zip(dense_weights(grid), (model1, model2)):
             assert np.max(np.abs(w - oracle_weights(model.params, grid.nodes))) < 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -197,7 +227,7 @@ class TestGrid:
         model = unverified_model(alpha, beta, eta, eta)
         grid = build_grid((model, model), 16)
         oracle = oracle_weights(model.params, grid.nodes)
-        assert np.max(np.abs(grid.weights[0] - oracle)) < 1e-10
+        assert np.max(np.abs(dense_weights(grid)[0] - oracle)) < 1e-10
 
     def test_alpha_two_weights_are_polynomial_integrals(self):
         # at alpha = 2 the kernel is piecewise linear with kinks at the
@@ -215,7 +245,7 @@ class TestGrid:
             idx, basis = _lagrange_stencil(nodes, s)
             for j, t in enumerate(nodes):
                 expected[j, idx[0]] += (0.5 * (b - a) * w * kernel_values(model.params, t, s)) @ basis
-        assert np.max(np.abs(grid.weights[0] - expected)) < 1e-14
+        assert np.max(np.abs(dense_weights(grid)[0] - expected)) < 1e-14
 
     def test_breakpoint_near_uniform_node_leaves_no_sliver(self, model1, model2):
         # b_1 just off the uniform node 0.775 = 155/200 is no node at all
@@ -224,9 +254,10 @@ class TestGrid:
         grid = build_grid((build_model(params), model2), 201)
         assert grid.nodes.size == plain.nodes.size
         assert np.min(np.diff(grid.nodes)) > 0.25 / 200
-        assert np.max(np.abs(grid.weights[0])) < 2.0 * np.max(np.abs(plain.weights[0]))
+        W, plain_W = dense_weights(grid)[0], dense_weights(plain)[0]
+        assert np.max(np.abs(W)) < 2.0 * np.max(np.abs(plain_W))
         expected = np.array([row_integral(params, t) for t in grid.nodes])
-        assert np.max(np.abs(grid.weights[0] @ np.ones(grid.nodes.size) - expected)) < 1e-13
+        assert np.max(np.abs(W @ np.ones(grid.nodes.size) - expected)) < 1e-13
 
 
 @st.composite
@@ -267,17 +298,41 @@ class TestLatticeAssembly:
         assert_matches_generic((model1, model2), 801)
 
     def test_assembly_allocates_no_square_temporary(self, model1, model2):
-        # the two W take 16 N^2 bytes; everything else must stay O(N), so
-        # one more (N, N) array (8 N^2 bytes) would exceed the allowance
-        n = 801
-        build_grid((model1, model2), n)
-        tracemalloc.start()
-        try:
+        # the grid and its assembly are O(N): 2 KiB per node at most, which
+        # a single (N, N) array (8 N^2 bytes) exceeds at either size
+        for n in (801, 3201):
             build_grid((model1, model2), n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * n * n + 2048 * n
+            tracemalloc.start()
+            try:
+                build_grid((model1, model2), n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2048 * n
+
+    def test_transform_length_is_smooth(self, model1, model2):
+        # a prime factor above 5 in the FFT length sends pocketfft to
+        # Bluestein's algorithm, several times slower; the length must also
+        # reach 2n so that the circular convolution does not wrap
+        for n in range(_MIN_NODES, 4001):
+            size = _transform_length(n)
+            assert size >= 2 * n
+            for prime in (2, 3, 5):
+                while size % prime == 0:
+                    size //= prime
+            assert size == 1, n
+        for n in (8, 201, 801):
+            grid = build_grid((model1, model2), n)
+            assert grid.length == _transform_length(n)
+            assert grid.spectrum.shape == (2, grid.length // 2 + 1)
+
+    @pytest.mark.parametrize("n", [8, 9, 201, 801, 1601])
+    def test_apply_matches_generic_weights(self, model1, model2, n):
+        assert_apply_matches_generic((model1, model2), n)
+
+    @pytest.mark.parametrize("name", list(SLIVERS))
+    def test_apply_matches_generic_weights_on_sliver_configs(self, model1, name):
+        assert_apply_matches_generic((unverified_model(*SLIVERS[name]), model1), 201)
 
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_breakpoint_on_or_one_ulp_off_a_lattice_node(self, model2, ulps):
@@ -285,17 +340,17 @@ class TestLatticeAssembly:
         # inside the next one; the weights move by rounding only
         name = "eta-on-a-node" if ulps == 0 else "eta-one-ulp-off-a-node"
         model = unverified_model(*SLIVERS[name])
-        grid = assert_matches_generic((model, model2), 201)
+        W = assert_matches_generic((model, model2), 201)[1][0]
         on_node = build_grid((unverified_model(*SLIVERS["eta-on-a-node"]), model2), 201)
-        assert np.max(np.abs(grid.weights[0] - on_node.weights[0])) < 1e-15
+        assert np.max(np.abs(W - dense_weights(on_node)[0])) < 1e-15
 
     @pytest.mark.parametrize("n", [33, 201])
     def test_breakpoints_within_a_quarter_step(self, model1, n):
         # eta_2 = 0.75 + 1e-9 sits 1e-9 inside the cell after eta_1 = 0.75;
         # as nodes the two made a 1e-9 cell and max|W| near 2.7e4
         model = unverified_model(*SLIVERS["eta-1e-9-past-eta-1"])
-        grid = assert_matches_generic((model1, model), n)
-        assert max(np.max(np.abs(W)) for W in grid.weights) < 1.0
+        weights = assert_matches_generic((model1, model), n)[1]
+        assert max(np.max(np.abs(W)) for W in weights) < 1.0
 
     @pytest.mark.parametrize("eta", [1e-3, 0.999])
     def test_breakpoint_by_an_end(self, model1, eta):
@@ -306,15 +361,15 @@ class TestLatticeAssembly:
 
     def test_eta_zero(self, model1):
         model = unverified_model(*SLIVERS["eta-zero"])
-        grid = assert_matches_generic((model, model1), 201)
+        grid = assert_matches_generic((model, model1), 201)[0]
         assert grid.nodes[0] == 0.0
 
     @pytest.mark.parametrize("n", [16, 64, 201, 801])
     def test_cubic_moments_on_sliver_configs(self, model1, model2, n):
         assert_cubics_integrated((model1, model2), n)
         for eq in SLIVERS.values():
-            grid = assert_cubics_integrated((unverified_model(*eq), model1), n)
-            assert all(np.isfinite(W).all() for W in grid.weights)
+            weights = assert_cubics_integrated((unverified_model(*eq), model1), n)[1]
+            assert all(np.isfinite(W).all() for W in weights)
 
     @settings(max_examples=20, deadline=None)
     @given(admissible_models(), admissible_models(), st.integers(8, 400))
