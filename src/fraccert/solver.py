@@ -241,7 +241,11 @@ def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
     dots = np.matmul(grid.rows, g[:, :, None])[..., 0]
     head = np.matmul(grid.left, g[:, :4, None])[..., 0]
     g[:, :4] = 0.0
-    out = np.fft.irfft(np.fft.rfft(g, grid.length) * grid.spectrum, grid.length)[:, 2:n + 2]
+    # the transforms sum O(n L) multiples of max|g|: scaled exactly, by a
+    # power of two, to |g| < 2, they overflow only where W g itself would
+    scale = 2.0 ** max(math.frexp(float(np.max(np.abs(g))))[1] - 1, 0)
+    out = np.fft.irfft(np.fft.rfft(g / scale, grid.length) * grid.spectrum, grid.length)
+    out = out[:, 2:n + 2] * scale
     out += head
     out[:, -1] = dots[:, 1]
     out += dots[:, :1]

@@ -388,6 +388,19 @@ class TestApplyT:
         with pytest.raises(ValueError):
             apply_T(grid16, ONE, ONE, z[:-1], z)
 
+    @pytest.mark.parametrize("size", [1e-300, 1e306, 1.7e308])
+    def test_extreme_magnitudes_scale_exactly(self, model1, model2, size):
+        # the FFT sums up to L terms, which unscaled would overflow (a
+        # RuntimeWarning, an error here) from about 1e306 at 201 nodes,
+        # where W g stays finite
+        grid = build_grid((model1, model2), 201)
+        ones = np.ones(grid.nodes.size)
+        Tu, Tv = apply_T(grid, STATE_U, STATE_V, size * ones, size * ones)
+        unit = apply_T(grid, STATE_U, STATE_V, ones, ones)
+        for T, T1 in zip((Tu, Tv), unit):
+            assert np.all(np.isfinite(T))
+            assert np.max(np.abs(T / size - T1)) <= 1e-14
+
     def test_time_dependent_factor(self, grid64, params1, params2):
         z = np.zeros(grid64.nodes.size)
         Tu, Tv = apply_T(grid64, parse("t"), parse("t"), z, z)
