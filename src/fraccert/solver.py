@@ -91,16 +91,15 @@ class SystemGrid:
     for cubic g, kinks of k included). W_i = R_i + 1 c_i^T with R_i = -R/Gamma
     and c_i = beta B + E/Gamma (``build_grid``), and R_i[j, p] = phi_i(j - p)
     but in the first four columns and the last row. Stacked over i:
-    ``spectrum``, the rfft of length ``length`` of phi_i(k - 2) for
-    k = 0..n+2 (phi_i vanishes below -1); ``left``, the first four columns
-    of R_i; ``rows``, c_i and the last row of R_i.
+    ``spectrum``, the rfft of length ``_transform_length(n)`` of
+    phi_i(k - 2) for k = 0..n+2 (phi_i vanishes below -1); ``left``, the
+    first four columns of R_i; ``rows``, c_i and the last row of R_i.
     """
 
     nodes: np.ndarray
     spectrum: np.ndarray
     left: np.ndarray
     rows: np.ndarray
-    length: int
 
 
 class _Cells(NamedTuple):
@@ -203,9 +202,8 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {n}")
     h = 1.0 / (n - 1)
     x = np.arange(float(n))
-    size = _transform_length(n)
     B = h * _rows(1.0, x[-1:], n)[0]
-    taps = np.zeros((2, size))
+    taps = np.zeros((2, _transform_length(n)))
     left = np.zeros((2, n, 4))
     rows = np.empty((2, 2, n))
     for i, model in enumerate(models):
@@ -221,7 +219,7 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
         for q in range(4):
             taps[i, 3 - q:n + 3 - q] += V[:, q]
     return SystemGrid(nodes=np.linspace(0.0, 1.0, n), spectrum=np.fft.rfft(taps),
-                      left=left, rows=rows, length=size)
+                      left=left, rows=rows)
 
 
 def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
@@ -235,18 +233,16 @@ def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
         raise ValueError(
             f"state shapes {u.shape}, {v.shape} do not match the grid {grid.nodes.shape}"
         )
-    g = np.empty((2, n))
-    g[0] = eval_expr_array(f1, grid.nodes, u, v)
-    g[1] = eval_expr_array(f2, grid.nodes, u, v)
+    g = np.array([eval_expr_array(f, grid.nodes, u, v) for f in (f1, f2)])
     dots = np.matmul(grid.rows, g[:, :, None])[..., 0]
     head = np.matmul(grid.left, g[:, :4, None])[..., 0]
     g[:, :4] = 0.0
     # the transforms sum O(n L) multiples of max|g|: scaled exactly, by a
     # power of two, to |g| < 2, they overflow only where W g itself would
     scale = 2.0 ** max(math.frexp(float(np.max(np.abs(g))))[1] - 1, 0)
-    out = np.fft.irfft(np.fft.rfft(g / scale, grid.length) * grid.spectrum, grid.length)
-    out = out[:, 2:n + 2] * scale
-    out += head
+    size = _transform_length(n)
+    out = np.fft.irfft(np.fft.rfft(g / scale, size) * grid.spectrum, size)
+    out = out[:, 2:n + 2] * scale + head
     out[:, -1] = dots[:, 1]
     out += dots[:, :1]
     return out[0], out[1]

@@ -15,6 +15,7 @@ from fraccert.solver import (
     _GAUSS_W,
     _GAUSS_X,
     _MIN_NODES,
+    _UNIT,
     GridSolution,
     _cell_weights,
     _Cells,
@@ -81,12 +82,12 @@ def split_cells(nodes, eta):
     return _Cells(edges, np.searchsorted(edges, nodes[stencil]), gs, rule), stencil
 
 
-def generic_weights(model, nodes, block=128):
+def generic_weights(model, nodes):
     """W from ``_cell_weights`` on every (row, cell) pair, summed cell by cell.
 
     B comes the same way, as the alpha = 1 weights of the row t = 1, and E
     as the row t = eta over the cells split at eta, so that eta lies at a
-    cell end as every other row does. The rows go ``block`` at a time, which
+    cell end as every other row does. The rows go 128 at a time, which
     keeps the (cells, rows, 8) Gauss table small at 1,601 nodes.
     """
     p = model.params
@@ -98,10 +99,10 @@ def generic_weights(model, nodes, block=128):
     R = np.zeros((nodes.size, nodes.size))
     B = np.zeros(nodes.size)
     E = np.zeros(nodes.size)
-    for lo in range(0, nodes.size, block):
-        w = _cell_weights(p.alpha, cells, slice(None), nodes[lo:lo + block])
+    for lo in range(0, nodes.size, 128):
+        w = _cell_weights(p.alpha, cells, slice(None), nodes[lo:lo + 128])
         for c, cols in enumerate(stencil):
-            R[lo:lo + block, cols] += w[c]
+            R[lo:lo + 128, cols] += w[c]
     for c, cols in enumerate(stencil):
         B[cols] += ones[c, 0]
     for c, cols in enumerate(split_stencil):
@@ -323,8 +324,7 @@ class TestLatticeAssembly:
             assert size == 1, n
         for n in (8, 201, 801):
             grid = build_grid((model1, model2), n)
-            assert grid.length == _transform_length(n)
-            assert grid.spectrum.shape == (2, grid.length // 2 + 1)
+            assert grid.spectrum.shape == (2, _transform_length(n) // 2 + 1)
 
     @pytest.mark.parametrize("n", [8, 9, 201, 801, 1601])
     def test_apply_matches_generic_weights(self, model1, model2, n):
@@ -535,6 +535,34 @@ class TestInterpolation:
         out = interpolate_nodes(grid16.nodes, grid16.nodes, 0.5)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(0.5, abs=1e-13)
+
+    def test_stencil_is_the_product_formula_bitwise(self):
+        # the basis is prod_{q != p} (x - x_q) / prod_{q != p} (x_p - x_q),
+        # each product taken in increasing q, bit for bit: the unit cells,
+        # and through them every weight, and the generic reference rest on it
+        def reference(nodes, xs):
+            n = nodes.size
+            cell = np.clip(np.searchsorted(nodes, xs, side="right") - 1, 0, n - 2)
+            idx = np.clip(cell - 1, 0, n - 4)[:, None] + np.arange(4)
+            xn = nodes[idx]
+            basis = np.empty_like(xn)
+            for p in range(4):
+                num, den = np.ones(xs.shape), np.ones(xs.shape)
+                for q in [q for q in range(4) if q != p]:
+                    num *= xs - xn[:, q]
+                    den *= xn[:, p] - xn[:, q]
+                basis[:, p] = num / den
+            return idx, basis
+
+        rng = np.random.default_rng(11)
+        lattice = np.linspace(0.0, 1.0, 16)
+        ragged = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 30))))
+        for nodes in (lattice, ragged, _UNIT.nodes):
+            xs = np.concatenate((nodes, rng.uniform(nodes[0], nodes[-1], 500)))
+            for got, want in zip(_lagrange_stencil(nodes, xs), reference(nodes, xs)):
+                assert np.array_equal(got, want)
+        basis = reference(_UNIT.nodes, _UNIT.gauss.ravel())[1].reshape(3, _GAUSS_X.size, 4)
+        assert np.array_equal(_UNIT.rule, basis * _GAUSS_W[:, None])
 
 
 class TestCone:
