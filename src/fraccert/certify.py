@@ -357,8 +357,24 @@ def _eval_level(problem: Problem, kind: str, rho: tuple[float, float],
     raise ConditionFailed(next(res for res in results if not res.holds))
 
 
-def _conclusion(solutions: int) -> str:
-    return f"at least {solutions} nontrivial solution" + ("s" if solutions > 1 else "")
+def _kinds(pattern: str) -> tuple[str, ...]:
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {sorted(PATTERNS)}")
+    return PATTERNS[pattern][0]
+
+
+def _star_allowed(kinds, j: int) -> bool:
+    # the starred index-0 fallback is sound only at the first level of S1/S3/S5
+    return j == 0 and kinds[j] == "I0"
+
+
+def _certificate(problem: Problem, pattern: str, ladder, conditions) -> Certificate:
+    solutions = PATTERNS[pattern][1]
+    return Certificate(
+        pattern=pattern, ladder=ladder, conditions=tuple(conditions), solutions=solutions,
+        conclusion=f"at least {solutions} nontrivial solution" + ("s" if solutions > 1 else ""),
+        conservative=problem.options.conservative,
+    )
 
 
 def check_pattern(problem: Problem, pattern: str, ladder) -> Certificate:
@@ -369,9 +385,7 @@ def check_pattern(problem: Problem, pattern: str, ladder) -> Certificate:
     the first level of S1/S3/S5, mirroring where the theory allows it.
     Raises LadderOrderViolation or ConditionFailed.
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {sorted(PATTERNS)}")
-    kinds, solutions = PATTERNS[pattern]
+    kinds = _kinds(pattern)
     ladder = tuple(_radii(level) for level in ladder)
     if len(ladder) != len(kinds):
         raise ValueError(
@@ -380,13 +394,8 @@ def check_pattern(problem: Problem, pattern: str, ladder) -> Certificate:
     _check_ladder(problem, kinds, ladder)
     conditions: list[ConditionResult] = []
     for j, kind in enumerate(kinds):
-        star_allowed = j == 0 and kind == "I0"
-        conditions.extend(_eval_level(problem, kind, ladder[j], star_allowed))
-    return Certificate(
-        pattern=pattern, ladder=ladder, conditions=tuple(conditions),
-        solutions=solutions, conclusion=_conclusion(solutions),
-        conservative=problem.options.conservative,
-    )
+        conditions.extend(_eval_level(problem, kind, ladder[j], _star_allowed(kinds, j)))
+    return _certificate(problem, pattern, ladder, conditions)
 
 
 def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
@@ -398,11 +407,9 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
     deterministic and uses the smallest certifiable radii. Returns None
     when the grid is exhausted; that outcome is normal, not an error.
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}; expected one of {sorted(PATTERNS)}")
+    kinds = _kinds(pattern)
     if not (lo > 0.0 and hi > lo and points >= 2):
         raise ValueError(f"need 0 < lo < hi and points >= 2, got {lo!r}, {hi!r}, {points!r}")
-    kinds, solutions = PATTERNS[pattern]
     grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
     c_min = min(problem.c(1), problem.c(2))
     memo: dict[tuple[str, bool, float], tuple[ConditionResult, ...] | None] = {}
@@ -418,19 +425,15 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
 
     def extend(level: int, prefix: list[float], conds: list[ConditionResult]):
         if level == len(kinds):
-            return Certificate(
-                pattern=pattern, ladder=tuple((r, r) for r in prefix),
-                conditions=tuple(conds), solutions=solutions,
-                conclusion=_conclusion(solutions),
-                conservative=problem.options.conservative,
-            )
+            return _certificate(problem, pattern, tuple((r, r) for r in prefix), conds)
+        star_allowed = _star_allowed(kinds, level)
         for r in grid:
             if prefix:
                 prev = prefix[-1]
                 bound = prev / c_min if kinds[level - 1] == "I0" else prev
                 if not bound < r:
                     continue
-            results = level_results(kinds[level], level == 0 and kinds[level] == "I0", r)
+            results = level_results(kinds[level], star_allowed, r)
             if results is None:
                 continue
             found = extend(level + 1, prefix + [r], conds + list(results))

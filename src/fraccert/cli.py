@@ -16,21 +16,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import (Box3, Certificate, ConditionFailed, ExtremumEstimate,
-                      LadderOrderViolation, PATTERNS, box_inf, check_nonexistence,
-                      check_pattern, search_certificate)
+from .certify import (Box3, Certificate, ConditionFailed, PATTERNS, box_inf,
+                      check_nonexistence, check_pattern, search_certificate)
 from .exprlang import EvalError, ExprError, parse
-from .kernel import (IntervalChoiceViolated, KernelBoundError, ParamError, ProblemParams,
-                     check_params, default_interval_end, kernel_values, phi_values,
-                     validate_params)
+from .kernel import (IntervalChoiceViolated, KernelBoundError, ProblemParams, check_params,
+                     default_interval_end, kernel_values, phi_values, validate_params)
 from .problem import Options, Problem
 from .solver import build_grid, cone_metrics, interpolate_nodes, solve_picard
 
@@ -243,75 +242,36 @@ def dumps_report(obj) -> str:
     return "".join(out)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, parts) -> None:
+    """Write an iterable of strings to ``path`` through a temp file and a rename."""
     # plain strings: pathlib interns every name it parses, and a fresh name
     # per call makes the interpreter's interned-string table reallocate
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
     os.replace(tmp, path)
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
     text = dumps_report(report)
     if out_path:
-        _write_atomic(out_path, text)
+        _write_atomic(out_path, (text,))
     sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- reports
 
 
-def _box_dict(box: Box3 | None):
-    if box is None:
-        return None
-    return {"t_range": list(box.t_range), "u_range": list(box.u_range),
-            "v_range": list(box.v_range)}
-
-
-def _estimate_dict(est: ExtremumEstimate) -> dict:
-    return {
-        "kind": est.kind, "value": est.value, "location": list(est.location),
-        "samples": est.samples, "refined": est.refined,
-        "refine_rounds": est.refine_rounds,
-    }
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "pattern": cert.pattern,
-        "ladder": [list(level) for level in cert.ladder],
-        "solutions": cert.solutions,
-        "conclusion": cert.conclusion,
-        "conservative": cert.conservative,
-        "ne_box": _box_dict(cert.ne_box),
-        "samples_per_axis": cert.samples_per_axis,
-        "conditions": [
-            {
-                "kind": cond.kind, "equation": cond.equation,
-                "rho": None if cond.rho is None else list(cond.rho),
-                "box": _box_dict(cond.box), "lhs": cond.lhs,
-                "threshold": cond.threshold, "holds": cond.holds,
-                "conservative": cond.conservative, "margin": cond.margin,
-                "estimate": _estimate_dict(cond.estimate),
-            }
-            for cond in cert.conditions
-        ],
-    }
+    report = asdict(cert)
+    for cond in report["conditions"]:
+        cond["estimate"]["refined"] = cond["estimate"]["refine_rounds"] > 0
+    return report
 
 
 def _constants_report(problem: Problem) -> dict:
-    eqs = []
-    for i in (1, 2):
-        p = problem.params(i)
-        rep = problem.constants[i - 1]
-        eqs.append({
-            "equation": i,
-            "alpha": p.alpha, "beta": p.beta, "eta": p.eta, "b": p.b,
-            "c": problem.c(i),
-            "m": rep.m, "M": rep.M, "m_hat": rep.m_hat, "M_hat": rep.M_hat,
-            "t_star_m": rep.t_star_m, "t_star_M": rep.t_star_M,
-        })
+    eqs = [{"equation": i, "c": problem.c(i), **asdict(problem.params(i)),
+            **asdict(problem.constants[i - 1])} for i in (1, 2)]
     return {"equations": eqs, "conservative": problem.options.conservative}
 
 
@@ -454,7 +414,7 @@ def _cmd_solve(args) -> int:
     sol = solve_picard(grid, problem.f[0], problem.f[1], init=init,
                        tol=args.tol, max_iter=args.max_iter, damping=args.damping)
     cones = cone_metrics(sol, problem.models)
-    _write_atomic(args.out, _csv_text("t,u,v", (grid.nodes, sol.u_values, sol.v_values)))
+    _write_atomic(args.out, (_csv_text("t,u,v", (grid.nodes, sol.u_values, sol.v_values)),))
     sidecar = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -464,17 +424,9 @@ def _cmd_solve(args) -> int:
         "nodes": int(grid.nodes.size),
         "grid_requested": int(grid.nodes.size),
         "init": args.init,
-        "cone": [
-            {
-                "equation": rep.equation, "min_on_interval": rep.min_on_interval,
-                "sup_norm": rep.sup_norm, "c": rep.c, "margin": rep.margin,
-                "in_cone": rep.in_cone, "tolerance": rep.tolerance,
-            }
-            for rep in cones
-        ],
+        "cone": [asdict(rep) for rep in cones],
     }
-    _write_atomic(os.path.splitext(args.out)[0] + ".json", dumps_report(sidecar))
-    sys.stdout.write(dumps_report(sidecar))
+    _emit_json(sidecar, os.path.splitext(args.out)[0] + ".json")
     if not sol.converged:
         sys.stderr.write(
             f"not converged after {sol.iterations} iterations "
@@ -494,12 +446,13 @@ def _cmd_kernel(args) -> int:
     if not np.isfinite(k).all():
         _fmt_float(float(k[~np.isfinite(k)][0]))  # raises, naming the first non-finite value
     # t, s and phi repeat over the n^2 rows: each is formatted once, into one
-    # template for the n rows of a t, whose fields are t and those rows' k
+    # template for the n rows of a t, whose fields are t and those rows' k;
+    # the file is streamed one t at a time
     text = [_fmt_float(x) for x in grid.tolist()]
     template = "".join(f"{{0}},{s},{{{q}:.17g}},{_fmt_float(f)}\n"
                        for q, (s, f) in enumerate(zip(text, phi_values(p, grid).tolist()), 1))
-    _write_atomic(args.out, "t,s,k,phi\n" + "".join(
-        template.format(t, *row) for t, row in zip(text, k.tolist())))
+    _write_atomic(args.out, itertools.chain(
+        ("t,s,k,phi\n",), (template.format(t, *row.tolist()) for t, row in zip(text, k))))
     return 0
 
 
@@ -536,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--pattern", required=True,
                         choices=[*sorted(PATTERNS), "NE1", "NE2", "NE3"])
     p_cert.add_argument("--ladder", default=None,
-                        help="comma-separated radii, one per level (or pairs)")
+                        help="comma-separated radii: one per level, or 2 x levels as pairs")
     p_cert.add_argument("--search", default=None, help="geometric grid lo:hi:points")
     p_cert.add_argument("--box", default="-10,10,-10,10",
                         help="nonexistence box u_lo,u_hi,v_lo,v_hi")
@@ -578,8 +531,7 @@ def main(argv=None) -> int:
         for msg in exc.errors:
             sys.stderr.write(f"  {msg}\n")
         return 1
-    except (ParamError, KernelBoundError, ExprError, EvalError, LadderOrderViolation,
-            ValueError, OSError, MemoryError) as exc:
+    except (KernelBoundError, EvalError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

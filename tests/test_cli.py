@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,34 @@ class TestCertifyCommand:
         assert rc == code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # sha256 of stdout for report shapes the digests above miss, recorded
+    # from the field-by-field report dicts: unequal radii per equation, an
+    # NE2 failure, NE3 mixing NE1 and NE2, and the starred fallback taken
+    # by equation 2 (f1 = 0 fails index 0 for equation 1 even starred)
+    @pytest.mark.parametrize("f, argv, code, kinds, digest", [
+        (None, [REF, "--pattern", "S1", "--ladder", "0.02,0.03,10,12"], 0,
+         [("I0star", 1), ("I1", 1), ("I1", 2)],
+         "2e9f422dc66067e3700a5cdc5e8fca2967a3a4196c44ed99435d5b33e3564666"),
+        (None, [NE_CFG, "--pattern", "NE2", "--box=0.01,10,0.01,10"], 2, None,
+         "c3f93b3a9ce3e60d9ee0c5096fe099dfd7f14d4e0deb44b0254843f414b057d7"),
+        ({"f1": "0.6*abs(u)", "f2": "600*abs(v)"}, ["--pattern", "NE3"], 0,
+         [("NE1", 1), ("NE2", 2)],
+         "7f9d48f3d21aaa6698edcd21e532a6288ba6ecab4efdbde727da6ed6bb28e55c"),
+        ({"f1": "0", "f2": "10"}, ["--pattern", "S1", "--ladder", "0.02,10"], 0,
+         [("I0star", 2), ("I1", 1), ("I1", 2)],
+         "e5ebc20b587db9f249fee1ce87045d1dff1cfc6058f205aa4cf4000872856176"),
+    ], ids=["S1-per-equation-ladder", "NE2-failure", "NE3-mixed", "S1-star-equation-2"])
+    def test_report_shapes_frozen(self, tmp_path, capsys, f, argv, code, kinds, digest):
+        if f is not None:
+            argv = [write_config(tmp_path, lambda c: c["nonlinearities"].update(f)), *argv]
+        rc = main(["certify", "--config", *argv])
+        out = capsys.readouterr().out
+        assert rc == code
+        cert = json.loads(out)["certificate"]
+        assert kinds == (None if cert is None else
+                         [(c["kind"], c["equation"]) for c in cert["conditions"]])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestSolveCommand:
     def test_constant_forcing(self, tmp_path, capsys, model1, model2, params1):
@@ -563,6 +592,20 @@ class TestKernelCommand:
         assert main(["kernel", "--config", REF, "--which", which, "--grid", "101",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_dump_is_streamed(self, tmp_path):
+        # one block of rows per t goes to the file: the whole n^2-row text
+        # held in memory peaked at about 158 bytes per row
+        n = 401
+        tracemalloc.start()
+        try:
+            rc = main(["kernel", "--config", REF, "--which", "1", "--grid", str(n),
+                       "--out", str(tmp_path / "k.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 48 * n * n
 
     def test_which_choice_enforced(self, tmp_path, capsys):
         rc = main(["kernel", "--config", REF, "--which", "3", "--grid", "5",
