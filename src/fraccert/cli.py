@@ -393,6 +393,9 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(rows).all():
             raise ValueError(f"--init file {path} holds a non-finite value")
         ts, us, vs = rows.T
+        repeats = ts[1:][ts[1:] == ts[:-1]]
+        if repeats.size:
+            raise ValueError(f"--init file {path} repeats t = {float(repeats[0])!r}")
         return interpolate_nodes(ts, us, grid.nodes), interpolate_nodes(ts, vs, grid.nodes)
     raise ValueError("--init expects const:a,b or file:path.csv")
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernel import KernelModel, ProblemParams
 
 __all__ = [
@@ -45,52 +43,45 @@ __all__ = [
 _XTOL = 1e-15
 
 
-def row_crossings(p: ProblemParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Sign crossings of k(t, .) on (0, eta) and on (eta, t), NaN where absent.
+def row_crossings(p: ProblemParams, t: float) -> tuple[float, float]:
+    """Sign crossings (lo, hi) of k(t, .) on (0, eta) and on (eta, t), 0.0 where absent.
 
     k(t, .) is positive for t <= eta. For t > eta it decreases on [0, eta],
     increases on [eta, t] and equals beta on [t, 1], so each side of its
     minimum k(t, eta) holds at most one crossing. The crossing on (eta, t)
     solves beta = (t - s)^(alpha-1)/Gamma(alpha) exactly; the one on
-    (0, eta) is found by bisection over the whole t-array at once, each row
-    halving until its own bracket is narrower than _XTOL, so a row's
-    crossing does not depend on the rest of the batch.
+    (0, eta) is found by bisection, halving until the bracket is narrower
+    than _XTOL. Both lie above 0, so 0.0 marks an absent one.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     g = math.gamma(p.alpha)
     e = p.alpha - 1.0
     width = (p.beta * g) ** (1.0 / e)
-    hi = np.where(t - p.eta > width, t - width, np.nan)
+    if not t - p.eta > width:
+        return 0.0, 0.0
     # the (0, eta) crossing needs k(t, 0) > 0 > k(t, eta)
-    need = ~np.isnan(hi) & (p.beta + (p.eta ** e - t ** e) / g > 0.0)
-    tt = t[need]
-    a = np.zeros_like(tt)
-    b = np.full_like(tt, p.eta)
-    live = np.flatnonzero(b - a > _XTOL)
-    while live.size:
-        mid = 0.5 * (a[live] + b[live])
-        pos = p.beta + ((p.eta - mid) ** e - (tt[live] - mid) ** e) / g > 0.0
-        a[live] = np.where(pos, mid, a[live])
-        b[live] = np.where(pos, b[live], mid)
-        live = live[b[live] - a[live] > _XTOL]
-    lo = np.full(t.shape, np.nan)
-    lo[need] = 0.5 * (a + b)
-    return lo, hi
+    if not p.beta + (p.eta ** e - t ** e) / g > 0.0:
+        return 0.0, t - width
+    a, b = 0.0, p.eta
+    while b - a > _XTOL:
+        mid = 0.5 * (a + b)
+        if p.beta + ((p.eta - mid) ** e - (t - mid) ** e) / g > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), t - width
 
 
-def abs_row_integral(p: ProblemParams, t) -> np.ndarray:
+def abs_row_integral(p: ProblemParams, t: float) -> float:
     """R(t) = int_0^1 |k(t, s)| ds as sum_j |K(z_{j+1}) - K(z_j)|.
 
     The z_j are 0, the sign crossings of k(t, .) and 1; an absent crossing
     collapses onto s = 0 and adds nothing.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     G = math.gamma(p.alpha + 1.0)
     lo, hi = row_crossings(p, t)
-    z = np.stack((np.zeros_like(t), np.nan_to_num(lo), np.nan_to_num(hi), np.ones_like(t)), axis=1)
-    K = (p.beta * z - np.maximum(p.eta - z, 0.0) ** p.alpha / G
-         + np.maximum(t[:, None] - z, 0.0) ** p.alpha / G)
-    return np.abs(np.diff(K, axis=1)).sum(axis=1)
+    k0, k1, k2, k3 = (p.beta * z - max(p.eta - z, 0.0) ** p.alpha / G
+                      + max(t - z, 0.0) ** p.alpha / G for z in (0.0, lo, hi, 1.0))
+    return abs(k1 - k0) + abs(k2 - k1) + abs(k3 - k2)
 
 
 def compute_m(model: KernelModel) -> tuple[float, float]:
@@ -115,9 +106,8 @@ def compute_m(model: KernelModel) -> tuple[float, float]:
     R' = t - 2 beta and R'' = 1. Either way R decreases and then is convex,
     so its maximum sits at an endpoint.
     """
-    rows = abs_row_integral(model.params, [0.0, 1.0])
-    i = int(np.argmax(rows))  # row i is t = i
-    return 1.0 / float(rows[i]), float(i)
+    r0, r1 = (abs_row_integral(model.params, t) for t in (0.0, 1.0))
+    return (1.0 / r1, 1.0) if r1 > r0 else (1.0 / r0, 0.0)
 
 
 def compute_M(model: KernelModel) -> tuple[float, float]:

@@ -137,7 +137,7 @@ def _cell_weights(alpha: float, cells: _Cells, sel: slice, t: np.ndarray) -> np.
     stencil: the Gauss rule when t_j lies more than one cell width past the
     cell's end, exact moments over [lo, min(t_j, hi)] when t_j lies past the
     cell's start and at most that far, and 0 when t_j lies at or before the
-    start (alpha = 1, where 0^0 = 1, needs every cell before t).
+    start.
     """
     nodes = cells.nodes
     lo, hi = nodes[:-1][sel], nodes[1:][sel]
@@ -196,13 +196,19 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
     row: elsewhere the fold's cells past the right end and the real last
     cell start at or after t_j and weigh 0. The columns 0..3 are cell 0
     (the unit cell [-1, 0] moved by 1) plus cells 1..4 read from V;
-    ``_rows`` gives the last row, E and B.
+    ``_rows`` gives the last row and E.
     """
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes, got {n}")
     h = 1.0 / (n - 1)
     x = np.arange(float(n))
-    B = h * _rows(1.0, x[-1:], n)[0]
+    # B/h folds the integrals of the cubics over one full unit cell, in 24ths:
+    # [9, 19, -5, 1] for cell 0, [-1, 13, 13, -1] inner, [1, -5, 19, 9] last;
+    # the integer sums are exact, so one division rounds each entry correctly
+    B = np.convolve(np.ones(n - 3), [-1.0, 13.0, 13.0, -1.0])
+    B[:4] += 9.0, 19.0, -5.0, 1.0
+    B[n - 4:] += 1.0, -5.0, 19.0, 9.0
+    B /= 24.0 * (n - 1)
     taps = np.zeros((2, _transform_length(n)))
     left = np.zeros((2, n, 4))
     rows = np.empty((2, 2, n))

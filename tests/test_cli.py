@@ -547,6 +547,18 @@ class TestSolveCommand:
         assert err.startswith("error: ValueError: --init") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_init_file_repeated_t_exit_1(self, tmp_path, capsys):
+        # two rows at t = 0.5 would make the interpolation divide by zero
+        rep = tmp_path / "rep.csv"
+        rep.write_text("t,u,v\n0,1,1\n0.5,1,1\n0.5,2,1\n1,1,1\n", encoding="utf-8")
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", REF, "--grid", "16",
+                   "--init", f"file:{rep}", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: --init file {rep} repeats t = 0.5\n")
+        assert not out.exists()
+
     def test_init_file_needs_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -74,7 +74,7 @@ class TestIntegration:
         # for alpha = 2 the hand values are polynomial: below eta and on the
         # shallow row t = 0.55, R = beta + (eta^2 - t^2)/2; at t = 1, k = -0.4
         # on [0, eta] and k = s - 0.9 on (eta, 1], so R = 0.2 + 0.08 + 0.005
-        got = abs_row_integral(LINEAR, np.array([0.3, 0.55, 1.0]))
+        got = [abs_row_integral(LINEAR, t) for t in (0.3, 0.55, 1.0)]
         np.testing.assert_allclose(got, [0.18, 0.07375, 0.285], rtol=1e-13)
 
     def test_fractional_power(self, params1, params2):
@@ -82,17 +82,17 @@ class TestIntegration:
         for p in (params1, params2):
             ts = np.linspace(0.0, p.eta, 9)
             want = p.beta + (p.eta ** p.alpha - ts ** p.alpha) / math.gamma(p.alpha + 1.0)
-            np.testing.assert_allclose(abs_row_integral(p, ts), want, rtol=1e-13)
+            got = [abs_row_integral(p, t) for t in ts.tolist()]
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_kink_with_breakpoint(self, params1, params2):
         # t values on both sides of eta; |k(t, .)| kinks at every crossing
         counts = set()
         for p in (params1, params2, ONE_CROSSING):
             ts = [0.0, 0.5 * p.eta, p.eta, 0.5 * (p.eta + 1.0), 0.9, 0.97, 1.0]
-            got = abs_row_integral(p, np.array(ts))
-            for t, r in zip(ts, got):
+            for t in ts:
                 counts.add(sign_changes(p, t))
-                assert r == pytest.approx(brute_integral(p, t), rel=1e-8)
+                assert abs_row_integral(p, t) == pytest.approx(brute_integral(p, t), rel=1e-8)
         assert counts == {0, 1, 2}
 
     def test_endpoint_singularity(self):
@@ -101,7 +101,7 @@ class TestIntegration:
         p = validate_params(1.05, 0.3, 0.4, 0.4)
         assert sign_changes(p, 1.0) == 2
         for t in (0.2, 0.4 + 1e-3, 0.7, 1.0):
-            assert abs_row_integral(p, t)[0] == pytest.approx(brute_integral(p, t), rel=1e-8)
+            assert abs_row_integral(p, t) == pytest.approx(brute_integral(p, t), rel=1e-8)
 
     def test_subinterval(self, model1, model2, constants1, constants2):
         # 1/M integrates k over [0, b]; brute force over a t-grid puts the
@@ -120,15 +120,16 @@ class TestIntegration:
     def test_random_rows_match_oracle(self, alpha, eta, frac, t):
         beta = frac * (1.0 - eta) ** (alpha - 1.0) / math.gamma(alpha)
         p = ProblemParams(alpha=alpha, beta=beta, eta=eta, b=eta)
-        assert abs_row_integral(p, t)[0] == pytest.approx(brute_integral(p, t), rel=1e-8)
+        assert abs_row_integral(p, t) == pytest.approx(brute_integral(p, t), rel=1e-8)
 
 
 class TestCrossings:
     def test_no_crossing(self, params1):
         # k(t, .) > 0 for t <= eta, and just above eta its minimum
-        # k(t, eta) = beta - (t - eta)^(alpha-1)/Gamma(alpha) is still positive
-        lo, hi = row_crossings(params1, np.array([0.0, 0.4, 0.75, 0.76]))
-        assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
+        # k(t, eta) = beta - (t - eta)^(alpha-1)/Gamma(alpha) is still positive;
+        # an absent crossing reads 0.0
+        for t in (0.0, 0.4, 0.75, 0.76):
+            assert row_crossings(params1, t) == (0.0, 0.0)
         assert sign_changes(params1, 0.76) == 0
 
     def test_kernel_row(self, params1):
@@ -136,8 +137,8 @@ class TestCrossings:
         # climbs back to k(1, 1) = beta > 0 because the (t - s)^(alpha-1) term
         # vanishes at s = t: two crossings.  The second is analytic here,
         # beta = (1 - s)^(alpha-1) / Gamma(alpha) giving s = 1 - pi/100.
-        lo, hi = row_crossings(params1, np.array([1.0]))
-        roots = [float(lo[0]), float(hi[0])]
+        roots = row_crossings(params1, 1.0)
+        assert all(type(r) is float for r in roots)
         assert roots[0] < params1.eta < roots[1]
         assert roots[1] == pytest.approx(1.0 - math.pi / 100.0, abs=1e-9)
         g = lambda s: kernel(params1, 1.0, np.array([s]))[0]
@@ -150,19 +151,9 @@ class TestCrossings:
 
     def test_one_sided_row(self):
         # k(1, 0) < 0: the only crossing lies on (eta, 1)
-        lo, hi = row_crossings(ONE_CROSSING, np.array([1.0]))
-        assert np.isnan(lo[0])
-        assert abs(kernel(ONE_CROSSING, 1.0, hi)[0]) < 1e-12
-
-    def test_crossing_ignores_the_rest_of_the_batch(self):
-        # with eta = 0.2908 the bracket of row t = 1 falls below 1e-15 one
-        # halving before that of another row; halving it on with that row
-        # moved its crossing by 2.8e-16 and R(1) by 2 ulps
-        p = ProblemParams(1.0001, 0.00029602940057792994, 0.2908, 0.2908)
-        assert (abs_row_integral(p, np.linspace(0.0, 1.0, 513))[-1]
-                == abs_row_integral(p, [0.0, 1.0])[1])
-        lo = row_crossings(p, np.linspace(0.0, 1.0, 513))[0]
-        assert lo[-1] == row_crossings(p, [1.0])[0][0]
+        lo, hi = row_crossings(ONE_CROSSING, 1.0)
+        assert lo == 0.0
+        assert abs(kernel(ONE_CROSSING, 1.0, np.array([hi]))[0]) < 1e-12
 
 
 class TestConstants:
@@ -242,13 +233,11 @@ class TestConstants:
         m, t_star = compute_m(KernelModel(params=p, c=compute_c(p),
                                           gamma_alpha=math.gamma(alpha)))
         ts = np.linspace(0.0, 1.0, 4001)
-        rows = abs_row_integral(p, ts)
+        rows = np.array([abs_row_integral(p, t) for t in ts.tolist()])
         assert t_star in (0.0, 1.0)
         assert rows.max() == max(rows[0], rows[-1])
-        # bit for bit against the endpoints on their own; the scan's R(1)
-        # may sit a few ulps off, as the bisection for the crossing in
-        # (0, eta) runs until every row of a batch has converged
-        ends = [abs_row_integral(p, t)[0] for t in (0.0, 1.0)]
+        # bit for bit against the endpoints on their own
+        ends = [abs_row_integral(p, t) for t in (0.0, 1.0)]
         assert (m, t_star) == (1.0 / max(ends), float(ends[1] > ends[0]))
         assert m * rows.max() == pytest.approx(1.0, rel=1e-15, abs=0.0)
         # sign structure by finite differences, with a rounding slack of

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fraccert.solver import (
     _Cells,
     _cells,
     _lagrange_stencil,
+    _rows,
     _transform_length,
     apply_T,
     build_grid,
@@ -297,6 +299,24 @@ class TestLatticeAssembly:
 
     def test_reference_at_801_nodes(self, model1, model2):
         assert_matches_generic((model1, model2), 801)
+
+    @pytest.mark.parametrize("n", [8, 9, 201, 3201])
+    def test_B_is_the_fold_of_rationals(self, n):
+        # with beta = 1 and eta = 0, E vanishes and c_i = beta B + E/Gamma is B
+        # itself: each entry is its exact fold of 24ths, correctly rounded,
+        # within rounding of the Gauss rule at alpha = 1, and they sum to 1
+        p = validate_params(1.5, 1.0, 0.0, 0.5)
+        model = KernelModel(params=p, c=compute_c(p), gamma_alpha=math.gamma(p.alpha))
+        B = build_grid((model, model), n).rows[0, 0]
+        fold = [0] * n
+        for c, cell in enumerate([[9, 19, -5, 1]] + [[-1, 13, 13, -1]] * (n - 3)
+                                 + [[1, -5, 19, 9]]):
+            for q, v in enumerate(cell):
+                fold[min(max(c - 1, 0), n - 4) + q] += v
+        assert B.tolist() == [float(Fraction(v, 24 * (n - 1))) for v in fold]
+        gauss = _rows(1.0, np.array([n - 1.0]), n)[0] / (n - 1)
+        assert np.max(np.abs(B - gauss)) <= 2e-16
+        assert abs(math.fsum(B) - 1.0) <= 4 * np.spacing(1.0)
 
     def test_assembly_allocates_no_square_temporary(self, model1, model2):
         # the grid and its assembly are O(N): 2 KiB per node at most, which
