@@ -164,6 +164,95 @@ class TestLoadConfig:
         assert "/options/lipschitz: unknown key" in captured.err
 
 
+def _set(path, value):
+    """A config mutation that sets (or, for value None, deletes) one key path."""
+    def mutate(cfg):
+        *parents, last = path
+        for key in parents:
+            cfg = cfg[key]
+        if value is None:
+            del cfg[last]
+        else:
+            cfg[last] = value
+    return mutate
+
+
+class TestSchemaMessages:
+    """Every structural message, its exact text, and their order."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set(["extra"], 1), "/extra: unknown key"),
+        (_set(["equations"], None), "/equations: must be a list of exactly 2 entries"),
+        (_set(["equations"], [{}]), "/equations: must be a list of exactly 2 entries"),
+        (_set(["equations", 1], [1.5]), "/equations/1: must be an object"),
+        (_set(["equations", 0, "gamma"], 1.0), "/equations/0/gamma: unknown key"),
+        (_set(["equations", 1, "beta"], None), "/equations/1/beta: required key missing"),
+        (_set(["equations", 0, "alpha"], "1.5"), "/equations/0/alpha: must be a finite number"),
+        (_set(["equations", 0, "eta"], True), "/equations/0/eta: must be a finite number"),
+        (_set(["equations", 1, "b"], "0.7"), "/equations/1/b: must be a finite number"),
+        (_set(["equations", 0, "b"], float("nan")), "/equations/0/b: must be a finite number"),
+        (_set(["nonlinearities"], ["10", "10"]),
+         "/nonlinearities: must be an object with keys f1, f2"),
+        (_set(["nonlinearities"], None), "/nonlinearities: must be an object with keys f1, f2"),
+        (_set(["nonlinearities", "f3"], "1"), "/nonlinearities/f3: unknown key"),
+        (_set(["nonlinearities", "f1"], None), "/nonlinearities/f1: required key missing"),
+        (_set(["nonlinearities", "f1"], 10), "/nonlinearities/f1: must be a string expression"),
+        (_set(["options"], []), "/options: must be an object"),
+        (_set(["options", "tol"], 1), "/options/tol: unknown key"),
+        (_set(["options", "conservative"], 1), "/options/conservative: must be a boolean"),
+        (_set(["options", "margin"], "0"), "/options/margin: must be a finite number"),
+        (_set(["options", "margin"], False), "/options/margin: must be a finite number"),
+    ])
+    def test_message(self, tmp_path, mutate, message):
+        with pytest.raises(SchemaError) as info:
+            load_config(write_config(tmp_path, mutate))
+        assert info.value.errors == [message]
+
+    def test_message_order(self, tmp_path):
+        def mutate(cfg):
+            cfg["zz"] = 0
+            cfg["aa"] = 0
+            cfg["equations"][0] = {"zeta": 1, "b": True, "alpha": "x", "a": 0}
+            cfg["equations"][1] = "eq"
+            cfg["nonlinearities"] = {"f2": 2, "g": "", "a": ""}
+            cfg["options"] = {"z": 0, "margin": None, "conservative": "yes", "a": 0}
+
+        with pytest.raises(SchemaError) as info:
+            load_config(write_config(tmp_path, mutate))
+        assert info.value.errors == [
+            "/aa: unknown key",
+            "/zz: unknown key",
+            "/equations/0/a: unknown key",
+            "/equations/0/zeta: unknown key",
+            "/equations/0/alpha: must be a finite number",
+            "/equations/0/beta: required key missing",
+            "/equations/0/eta: required key missing",
+            "/equations/0/b: must be a finite number",
+            "/equations/1: must be an object",
+            "/nonlinearities/a: unknown key",
+            "/nonlinearities/g: unknown key",
+            "/nonlinearities/f1: required key missing",
+            "/nonlinearities/f2: must be a string expression",
+            "/options/a: unknown key",
+            "/options/z: unknown key",
+            "/options/conservative: must be a boolean",
+            "/options/margin: must be a finite number",
+        ]
+
+    def test_top_level_message(self, tmp_path):
+        path = tmp_path / "arr.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_config(path)
+        assert info.value.errors == ["/: top level must be a JSON object"]
+
+    def test_cli_lists_messages(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, _set(["equations", 0, "alpha"], "1.5"))
+        assert main(["constants", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config rejected:\n  /equations/0/alpha: must be a finite number\n")
+
+
 class TestDumpsReport:
     def test_frozen_rendering(self):
         report = {"b": 1.0, "a": [1, 2.5, "x"], "c": {"nested": True, "empty": {}},
@@ -336,6 +425,18 @@ class TestCertifyCommand:
                    "--ladder", "0.02,10", "--search", "0.1:10:5"])
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
+
+    def test_ladder_wrong_count_exit_1(self, capsys):
+        rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "0.02,0.03,10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: --ladder needs 2 radii (shared) or 4 (per-equation pairs), "
+            "got 3\n")
+
+    def test_malformed_search_exit_1(self, capsys):
+        rc = main(["certify", "--config", REF, "--pattern", "S1", "--search", "0.1:10"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: --search expects lo:hi:points\n"
 
     def test_nonexistence_default_box(self, capsys):
         rc = main(["certify", "--config", NE_CFG, "--pattern", "NE1"])
@@ -566,6 +667,17 @@ class TestSolveCommand:
                    "--init", f"file:{bad}", "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
         assert "columns t,u,v" in capsys.readouterr().err
+
+    def test_init_file_needs_four_rows(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("t,u,v\n0,1,1\n0.5,1,1\n1,1,1\n", encoding="utf-8")
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", REF, "--grid", "16",
+                   "--init", f"file:{short}", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: --init file {short} needs at least 4 rows\n")
+        assert not out.exists()
 
     def test_grid_too_small_exit_1(self, tmp_path, capsys):
         rc = main(["solve", "--config", REF, "--grid", "4",
