@@ -237,14 +237,9 @@ def _i1_box(rho: tuple[float, float]) -> Box3:
 
 
 def _i0_box(problem: Problem, rho: tuple[float, float], i: int, star: bool) -> Box3:
-    c1, c2 = problem.c(1), problem.c(2)
-    if i == 1:
-        u = (0.0 if star else rho[0], rho[0] / c1)
-        v = (-rho[1] / c2, rho[1] / c2)
-    else:
-        u = (-rho[0] / c1, rho[0] / c1)
-        v = (0.0 if star else rho[1], rho[1] / c2)
-    return Box3(t_range=(0.0, problem.b(i)), u_range=u, v_range=v)
+    ranges = [(-r / problem.c(j), r / problem.c(j)) for j, r in enumerate(rho, 1)]
+    ranges[i - 1] = (0.0 if star else rho[i - 1], rho[i - 1] / problem.c(i))
+    return Box3(t_range=(0.0, problem.b(i)), u_range=ranges[0], v_range=ranges[1])
 
 
 def _radii(rho) -> tuple[float, float]:
@@ -265,6 +260,8 @@ def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | N
     they are.
     """
     lhs = est.value if rho is None else est.value / rho[i - 1]
+    if not math.isfinite(lhs):
+        raise ValueError(f"condition {kind} for equation {i}: f{i}/rho_{i} overflows")
     margin = problem.options.margin
     if est.kind == "sup":
         thr = problem.m_used(i)
@@ -482,12 +479,21 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     # variant 2 samples only w_i > 0, where |w_i| = w_i
     sign = 1.0 if kind == "NE1" else -1.0
     ratio = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg)
-    best, loc, samples = _scan(ratio, (t_axis, u_axis, v_axis), sign)
+    try:
+        with np.errstate(over="raise"):
+            best, loc, samples = _scan(ratio, (t_axis, u_axis, v_axis), sign)
+    except FloatingPointError:
+        raise ValueError(f"condition {kind} for equation {i}: growth ratio "
+                         f"f{i}/|{'uv'[i - 1]}| overflows") from None
     est = ExtremumEstimate(
         kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
         samples=samples, refine_rounds=0,
     )
     return _condition(problem, kind, i, None, box, est)
+
+
+# nonexistence variant -> the (equation 1, equation 2) growth kinds to try, in order
+_NE_VARIANTS = {1: [("NE1", "NE1")], 2: [("NE2", "NE2")], 3: [("NE1", "NE2"), ("NE2", "NE1")]}
 
 
 def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -> Certificate:
@@ -499,30 +505,17 @@ def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -
     assignments are tried). The conclusion is explicitly scoped: the
     growth conditions are verified on the sampled box only.
     """
-    if variant not in (1, 2, 3):
+    if variant not in _NE_VARIANTS:
         raise ValueError(f"variant must be 1, 2 or 3, got {variant!r}")
     if n < 3:
         raise ValueError(f"need n >= 3 samples per axis, got {n}")
-    if variant in (1, 2):
-        kind = "NE1" if variant == 1 else "NE2"
-        conditions = tuple(_ne_condition(problem, kind, i, box, n) for i in (1, 2))
-        for cond in conditions:
-            if not cond.holds:
-                raise ConditionFailed(cond)
+    for kinds in _NE_VARIANTS[variant]:
+        conditions = tuple(_ne_condition(problem, kind, i, box, n) for i, kind in enumerate(kinds, 1))
+        failed = next((cond for cond in conditions if not cond.holds), None)
+        if failed is None:
+            break
     else:
-        last_fail = None
-        conditions = None
-        for one, two in (("NE1", "NE2"), ("NE2", "NE1")):
-            attempt = (
-                _ne_condition(problem, one, 1, box, n),
-                _ne_condition(problem, two, 2, box, n),
-            )
-            if all(cond.holds for cond in attempt):
-                conditions = attempt
-                break
-            last_fail = next(cond for cond in attempt if not cond.holds)
-        if conditions is None:
-            raise ConditionFailed(last_fail)
+        raise ConditionFailed(failed)
     scope = "growth conditions verified on sampled points of that box only"
     if any(cond.kind == "NE1" for cond in conditions):
         scope += f"; a slab |w_i| < {NE_EXCLUSION:g} * scale is excluded near w_i = 0"

@@ -29,7 +29,7 @@ from .certify import (Box3, Certificate, ConditionFailed, PATTERNS, box_inf,
                       check_nonexistence, check_pattern, search_certificate)
 from .exprlang import EvalError, ExprError, parse
 from .kernel import (IntervalChoiceViolated, KernelBoundError, ProblemParams, check_params,
-                     default_interval_end, kernel_values, phi_values, validate_params)
+                     default_interval_end, kernel_values, phi_values)
 from .problem import Options, Problem
 from .solver import build_grid, cone_metrics, interpolate_nodes, solve_picard
 
@@ -78,53 +78,42 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(float(x))
 
 
+# key -> (required, test, what a value must be), for each config object
+_EQUATION_KEYS = {key: (key != "b", _is_num, "a finite number") for key in ("alpha", "beta", "eta", "b")}
+_NONLINEARITY_KEYS = {key: (True, lambda x: isinstance(x, str), "a string expression")
+                      for key in ("f1", "f2")}
+_OPTION_KEYS = {"conservative": (False, lambda x: isinstance(x, bool), "a boolean"),
+                "margin": (False, _is_num, "a finite number")}
+
+
+def _scan_object(obj, keys: dict, path: str, shape: str = "an object") -> list[str]:
+    """Messages for an object: unknown keys (sorted), then each key in table order."""
+    if not isinstance(obj, dict):
+        return [f"{path}: must be {shape}"]
+    errs = [f"{path}/{key}: unknown key" for key in sorted(set(obj) - set(keys))]
+    for key, (required, test, what) in keys.items():
+        if key not in obj:
+            if required:
+                errs.append(f"{path}/{key}: required key missing")
+        elif not test(obj[key]):
+            errs.append(f"{path}/{key}: must be {what}")
+    return errs
+
+
 def _schema_scan(raw) -> list[str]:
     """Structural checks only; returns messages with JSON-pointer paths."""
-    errs: list[str] = []
     if not isinstance(raw, dict):
         return ["/: top level must be a JSON object"]
-    known = {"equations", "nonlinearities", "options"}
-    for key in sorted(set(raw) - known):
-        errs.append(f"/{key}: unknown key")
+    errs = [f"/{key}: unknown key" for key in sorted(set(raw) - {"equations", "nonlinearities", "options"})]
     eqs = raw.get("equations")
     if not isinstance(eqs, list) or len(eqs) != 2:
         errs.append("/equations: must be a list of exactly 2 entries")
     else:
         for i, eq in enumerate(eqs):
-            if not isinstance(eq, dict):
-                errs.append(f"/equations/{i}: must be an object")
-                continue
-            for key in sorted(set(eq) - {"alpha", "beta", "eta", "b"}):
-                errs.append(f"/equations/{i}/{key}: unknown key")
-            for key in ("alpha", "beta", "eta"):
-                if key not in eq:
-                    errs.append(f"/equations/{i}/{key}: required key missing")
-                elif not _is_num(eq[key]):
-                    errs.append(f"/equations/{i}/{key}: must be a finite number")
-            if "b" in eq and not _is_num(eq["b"]):
-                errs.append(f"/equations/{i}/b: must be a finite number")
-    nls = raw.get("nonlinearities")
-    if not isinstance(nls, dict):
-        errs.append("/nonlinearities: must be an object with keys f1, f2")
-    else:
-        for key in sorted(set(nls) - {"f1", "f2"}):
-            errs.append(f"/nonlinearities/{key}: unknown key")
-        for key in ("f1", "f2"):
-            if key not in nls:
-                errs.append(f"/nonlinearities/{key}: required key missing")
-            elif not isinstance(nls[key], str):
-                errs.append(f"/nonlinearities/{key}: must be a string expression")
-    opts = raw.get("options", {})
-    if not isinstance(opts, dict):
-        errs.append("/options: must be an object")
-        return errs
-    for key in sorted(set(opts) - {"conservative", "margin"}):
-        errs.append(f"/options/{key}: unknown key")
-    if "conservative" in opts and not isinstance(opts["conservative"], bool):
-        errs.append("/options/conservative: must be a boolean")
-    if "margin" in opts and not _is_num(opts["margin"]):
-        errs.append("/options/margin: must be a finite number")
-    return errs
+            errs += _scan_object(eq, _EQUATION_KEYS, f"/equations/{i}")
+    errs += _scan_object(raw.get("nonlinearities"), _NONLINEARITY_KEYS, "/nonlinearities",
+                         "an object with keys f1, f2")
+    return errs + _scan_object(raw.get("options", {}), _OPTION_KEYS, "/options")
 
 
 def load_config(path) -> ProblemConfig:
@@ -149,23 +138,15 @@ def load_config(path) -> ProblemConfig:
     params: list[ProblemParams] = []
     for i, eq in enumerate(raw["equations"]):
         alpha, beta, eta = float(eq["alpha"]), float(eq["beta"]), float(eq["eta"])
-        if "b" in eq:
-            b = float(eq["b"])
-        else:
-            b = default_interval_end(alpha, beta, eta)
-            if b is None:
-                # [0, eta] is admissible whenever eta > 0
-                b = eta
+        b = float(eq["b"]) if "b" in eq else default_interval_end(alpha, beta, eta)
         msgs = check_params(alpha, beta, eta, b)
         if msgs and "b" not in eq and all(kind is IntervalChoiceViolated for kind, _ in msgs):
             hi = eta + (beta * math.gamma(alpha)) ** (1.0 / (alpha - 1.0))
             msgs = [(IntervalChoiceViolated,
                      "interval end b was omitted and neither the midpoint (eta + 1)/2 nor "
                      f"eta is admissible; set b in ({eta!r}, {hi!r})")]
-        if msgs:
-            sem.extend(f"/equations/{i}: {msg}" for _, msg in msgs)
-        else:
-            params.append(validate_params(alpha, beta, eta, b))
+        sem.extend(f"/equations/{i}: {msg}" for _, msg in msgs)
+        params.append(ProblemParams(alpha, beta, eta, b))
     f_text = []
     for key in ("f1", "f2"):
         text_i = raw["nonlinearities"][key]
@@ -174,16 +155,12 @@ def load_config(path) -> ProblemConfig:
         except ExprError as exc:
             sem.append(f"/nonlinearities/{key}: {exc}")
         f_text.append(text_i)
-    opts_raw = raw.get("options", {})
-    margin = float(opts_raw.get("margin", 1e-9))
-    if margin < 0.0:
+    options = raw.get("options", {})
+    if options.get("margin", 0.0) < 0.0:
         sem.append("/options/margin: must be >= 0")
-        margin = 0.0
     if sem:
         raise ValidationError(sem)
-    options = Options(conservative=bool(opts_raw.get("conservative", True)), margin=margin)
-    return ProblemConfig(params=(params[0], params[1]),
-                         f_text=(f_text[0], f_text[1]), options=options)
+    return ProblemConfig(params=tuple(params), f_text=tuple(f_text), options=Options(**options))
 
 
 def _fmt_float(x: float) -> str:
@@ -396,7 +373,12 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
         repeats = ts[1:][ts[1:] == ts[:-1]]
         if repeats.size:
             raise ValueError(f"--init file {path} repeats t = {float(repeats[0])!r}")
-        return interpolate_nodes(ts, us, grid.nodes), interpolate_nodes(ts, vs, grid.nodes)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return interpolate_nodes(ts, us, grid.nodes), interpolate_nodes(ts, vs, grid.nodes)
+        except FloatingPointError:
+            raise ValueError(f"--init file {path} does not interpolate to finite values "
+                             "(t rows too close together, or values too large)") from None
     raise ValueError("--init expects const:a,b or file:path.csv")
 
 

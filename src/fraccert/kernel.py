@@ -133,15 +133,8 @@ def check_params(alpha: float, beta: float, eta: float, b: float) -> list[tuple[
     return problems
 
 
-def validate_params(alpha: float, beta: float, eta: float, b: float | None = None) -> ProblemParams:
-    """Validate a parameter tuple, raising the first violated condition.
-
-    When ``b`` is omitted, the midpoint default (eta + 1)/2 is used if it
-    satisfies the interval condition; otherwise IntervalChoiceViolated is
-    raised with the admissible range.
-    """
-    if b is None:
-        b = (float(eta) + 1.0) / 2.0
+def validate_params(alpha: float, beta: float, eta: float, b: float) -> ProblemParams:
+    """Validate a parameter tuple, raising the first violated condition."""
     problems = check_params(alpha, beta, eta, b)
     if problems:
         kind, msg = problems[0]
@@ -149,10 +142,12 @@ def validate_params(alpha: float, beta: float, eta: float, b: float | None = Non
     return ProblemParams(float(alpha), float(beta), float(eta), float(b))
 
 
-def default_interval_end(alpha: float, beta: float, eta: float) -> float | None:
-    """Return the midpoint default b = (eta + 1)/2 if admissible, else None."""
+def default_interval_end(alpha: float, beta: float, eta: float) -> float:
+    """The interval end b a config may omit: the midpoint (eta + 1)/2 if it
+    is admissible, else eta ([0, eta] is admissible whenever eta > 0 and the
+    rest of the tuple is)."""
     b = (float(eta) + 1.0) / 2.0
-    return b if not check_params(alpha, beta, eta, b) else None
+    return b if not check_params(alpha, beta, eta, b) else float(eta)
 
 
 def _power(x, p: float):

@@ -19,13 +19,15 @@ class Options:
     thresholds; they are sound for every certificate direction since
     m_hat <= m and M_hat >= M. margin is the strict-inequality slack
     delta: a sampled sup passes below threshold - delta, an inf above
-    threshold + delta.
+    threshold + delta. These are the defaults of a config that omits
+    them; margin is stored as a float.
     """
 
     conservative: bool = True
     margin: float = 1e-9
 
     def __post_init__(self):
+        object.__setattr__(self, "margin", float(self.margin))
         if not self.margin >= 0.0:
             raise ValueError(f"margin must be >= 0, got {self.margin!r}")
 

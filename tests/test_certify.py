@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,12 @@ class TestPattern:
         with pytest.raises(ValueError):
             check_pattern(base_problem, "S1", [1.0, 2.0, 3.0])
 
+    def test_overflowing_ratio_raises(self, make_problem):
+        # 1e300 / 1e-10 is inf on Python floats; no certificate may hold it
+        problem = make_problem("1e300", "1e300")
+        with pytest.raises(ValueError, match=r"^condition I0 for equation 1: f1/rho_1 overflows$"):
+            check_pattern(problem, "S1", [1e-10, 1e300])
+
     def test_certificate_rejects_failed_condition(self):
         est = ExtremumEstimate(kind="sup", value=5.0, location=(0.0, 0.0, 0.0),
                                samples=1, refine_rounds=0)
@@ -580,6 +587,19 @@ class TestNonexistence:
         box = Box3((0.0, 1.0), (-5.0, -1.0), (0.01, 10.0))
         with pytest.raises(ValueError):
             check_nonexistence(problem, 2, box)
+
+    @pytest.mark.parametrize("variant, box", [
+        (1, Box3((0.0, 1.0), (-1e-3, 1e-3), (-1e-3, 1e-3))),
+        (2, Box3((0.0, 1.0), (1e-9, 1e-3), (1e-9, 1e-3))),
+    ])
+    def test_overflowing_ratio_raises(self, make_problem, variant, box):
+        # 1e306 / 1e-9 overflows: an error naming the condition, no warning
+        problem = make_problem("1e306", "1e306")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^condition NE{variant} for equation 1: "
+                                                 r"growth ratio f1/\|u\| overflows$"):
+                check_nonexistence(problem, variant, box)
 
 
 class TestRevalidation:

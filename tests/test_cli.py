@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,24 @@ class TestCertifyCommand:
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--pattern", "NE1", "--box=-0.001,0.001,-0.001,0.001"],
+         "condition NE1 for equation 1: growth ratio f1/|u| overflows"),
+        (["--pattern", "NE2", "--box=0.000000001,0.001,0.000000001,0.001"],
+         "condition NE2 for equation 1: growth ratio f1/|u| overflows"),
+        (["--pattern", "S1", "--ladder", "1e-10,1e300"],
+         "condition I0 for equation 1: f1/rho_1 overflows"),
+    ], ids=["NE1", "NE2", "S1"])
+    def test_overflowing_ratio_exit_1(self, tmp_path, capsys, argv, err):
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="1e306", f2="1e306"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", cfg, *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {err}\n"
+
     def test_ladder_wrong_count_exit_1(self, capsys):
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "0.02,0.03,10"])
         assert rc == 1
@@ -667,6 +686,21 @@ class TestSolveCommand:
                    "--init", f"file:{bad}", "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
         assert "columns t,u,v" in capsys.readouterr().err
+
+    def test_init_file_subnormal_spacing_exit_1(self, tmp_path, capsys):
+        # distinct t rows 5e-324 apart underflow the interpolation denominators
+        near = tmp_path / "near.csv"
+        near.write_text("t,u,v\n0,1,1\n5e-324,1,1\n1e-323,1,1\n1,1,1\n", encoding="utf-8")
+        out = tmp_path / "sol.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", REF, "--grid", "16",
+                       "--init", f"file:{near}", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: --init file {near} does not interpolate to finite values "
+            "(t rows too close together, or values too large)\n")
+        assert not out.exists()
 
     def test_init_file_needs_four_rows(self, tmp_path, capsys):
         short = tmp_path / "short.csv"

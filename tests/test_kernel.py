@@ -100,13 +100,10 @@ class TestParamValidation:
     def test_default_interval_end_admissible(self):
         # 0.5 * Gamma(1.5) = 0.443 > (0.875 - 0.75)^0.5 = 0.354
         assert default_interval_end(1.5, 0.5, 0.75) == 0.875
-        assert validate_params(1.5, 0.5, 0.75).b == 0.875
 
     def test_default_interval_end_inadmissible(self):
-        # 0.2 * Gamma(1.5) = 0.177 < (0.875 - 0.75)^0.5 = 0.354
-        assert default_interval_end(1.5, 0.2, 0.75) is None
-        with pytest.raises(IntervalChoiceViolated):
-            validate_params(1.5, 0.2, 0.75)
+        # 0.2 * Gamma(1.5) = 0.177 < (0.875 - 0.75)^0.5 = 0.354, so b = eta
+        assert default_interval_end(1.5, 0.2, 0.75) == 0.75
 
     def test_b_equal_eta_admissible(self):
         assert validate_params(1.5, 0.2, 0.75, 0.75).b == 0.75

@@ -7,6 +7,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from conftest import CONFIG_DIR
+from fraccert import cli
 from fraccert.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -29,6 +30,24 @@ def assert_valid(name: str, doc) -> None:
 @pytest.mark.parametrize("path", [REF, NE_CFG], ids=["reference", "nonexistence"])
 def test_shipped_configs(path):
     assert_valid("config.schema.json", json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("pointer, keys", [
+    (("equations", "items"), cli._EQUATION_KEYS),
+    (("nonlinearities",), cli._NONLINEARITY_KEYS),
+    (("options",), cli._OPTION_KEYS),
+], ids=["equation", "nonlinearities", "options"])
+def test_config_key_tables_match_schema(pointer, keys):
+    # the loader's key tables allow, require and type exactly what the schema does
+    obj = json.loads((DOCS / "config.schema.json").read_text(encoding="utf-8"))["properties"]
+    for name in pointer:
+        obj = obj[name]
+    assert obj["additionalProperties"] is False
+    assert list(keys) == list(obj["properties"])
+    assert [key for key, (required, _, _) in keys.items() if required] == obj.get("required", [])
+    samples = {"number": 1.5, "string": "1.5", "boolean": True}
+    for key, (_, test, _) in keys.items():
+        assert [kind for kind, x in samples.items() if test(x)] == [obj["properties"][key]["type"]]
 
 
 def test_lipschitz_option_outside_config_schema():
