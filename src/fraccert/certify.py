@@ -510,7 +510,8 @@ def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -
     if n < 3:
         raise ValueError(f"need n >= 3 samples per axis, got {n}")
     for kinds in _NE_VARIANTS[variant]:
-        conditions = tuple(_ne_condition(problem, kind, i, box, n) for i, kind in enumerate(kinds, 1))
+        conditions = tuple(_ne_condition(problem, kind, i, box, n)
+                           for i, kind in enumerate(kinds, 1))
         failed = next((cond for cond in conditions if not cond.holds), None)
         if failed is None:
             break

@@ -79,7 +79,8 @@ def _is_num(x) -> bool:
 
 
 # key -> (required, test, what a value must be), for each config object
-_EQUATION_KEYS = {key: (key != "b", _is_num, "a finite number") for key in ("alpha", "beta", "eta", "b")}
+_EQUATION_KEYS = {key: (key != "b", _is_num, "a finite number")
+                  for key in ("alpha", "beta", "eta", "b")}
 _NONLINEARITY_KEYS = {key: (True, lambda x: isinstance(x, str), "a string expression")
                       for key in ("f1", "f2")}
 _OPTION_KEYS = {"conservative": (False, lambda x: isinstance(x, bool), "a boolean"),
@@ -104,7 +105,8 @@ def _schema_scan(raw) -> list[str]:
     """Structural checks only; returns messages with JSON-pointer paths."""
     if not isinstance(raw, dict):
         return ["/: top level must be a JSON object"]
-    errs = [f"/{key}: unknown key" for key in sorted(set(raw) - {"equations", "nonlinearities", "options"})]
+    known = {"equations", "nonlinearities", "options"}
+    errs = [f"/{key}: unknown key" for key in sorted(set(raw) - known)]
     eqs = raw.get("equations")
     if not isinstance(eqs, list) or len(eqs) != 2:
         errs.append("/equations: must be a list of exactly 2 entries")
