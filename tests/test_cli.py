@@ -37,6 +37,9 @@ BASE = {
     "options": {"conservative": True},
 }
 
+PICARD_F = {"f1": "0.75*(1 + 0.4*sin(u)) + 0.2*cos(v)",
+            "f2": "0.75*(1 + 0.3*cos(u)) + 0.2*sin(v)"}
+
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
     cfg = copy.deepcopy(BASE)
@@ -717,6 +720,36 @@ class TestSolveCommand:
         rc = main(["solve", "--config", REF, "--grid", "4",
                    "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
+
+    # sha256 of stdout followed by the CSV bytes, for the reference config
+    # and for picard_warm's state-dependent forcings at amplitude 0.75; the
+    # transforms and the power, sin and cos loops round per numpy build, and
+    # these were recorded with numpy 2.4 (C++ pocketfft) on x86-64
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests recorded with numpy 2's pocketfft")
+    @pytest.mark.parametrize("f, argv, digest", [
+        (None, ["--grid", "8"],
+         "80b58e0b4cc9113cf2974d4096cc29f5878e4651fd2e2cb970fcc4cc25118bd2"),
+        (None, ["--grid", "201"],
+         "de60ff658a7ff8df7b7a9c427c201fe3c96d163461e1104442f284052a289381"),
+        (None, ["--grid", "801"],
+         "db3b33d9ecf7fce642fadbc0eed172d97a1d359cc6aaa6b871f54525c93fe97a"),
+        (PICARD_F, ["--grid", "8", "--damping", "0.7"],
+         "a101b7e1efaf352dfc5f953a65b1d8cbd75c626374de69e2daee4483c5de6efd"),
+        (PICARD_F, ["--grid", "201", "--damping", "0.7"],
+         "0f9312192bb77f176eb120f6709e283a5c9a3b35c70d698f3d9f8c35ea73bd9a"),
+        (PICARD_F, ["--grid", "801", "--damping", "0.7"],
+         "c0ec3aaae797b3243055b7b9d0152191a38926ff9b13b528cb7cb504b05c4c90"),
+    ], ids=["reference-8", "reference-201", "reference-801", "picard-8", "picard-201",
+            "picard-801"])
+    def test_solutions_frozen(self, tmp_path, capsys, f, argv, digest):
+        cfg = REF if f is None else write_config(
+            tmp_path, lambda c: c["nonlinearities"].update(f))
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", cfg, *argv, "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(stdout.encode("utf-8") + out.read_bytes()).hexdigest() == digest
 
 
 class TestKernelCommand:

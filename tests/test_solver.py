@@ -1,5 +1,6 @@
 """Collocation grid, Hammerstein operator, Picard iteration and cone checks."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraccert.exprlang import parse
+from fraccert.exprlang import DivisionByZero, DomainError, parse
 from fraccert.kernel import KernelModel, build_model, compute_c, kernel_values, validate_params
 from fraccert.solver import (
     _GAUSS_W,
@@ -664,3 +665,72 @@ class TestConvergenceOrder:
                                               rel=1e-6)
         ratio = slopes[128] / slopes[32]
         assert 0.45 < ratio < 0.55
+
+
+# picard_warm's forcings at amplitude 0.75, and at 0.76, one continuation step on
+PICARD_F = ("{a}*(1 + 0.4*sin(u)) + 0.2*cos(v)", "{a}*(1 + 0.3*cos(u)) + 0.2*sin(v)")
+
+# the transforms and the power, sin and cos loops round per numpy build: the
+# digests below were recorded with numpy 2.4 (C++ pocketfft) on x86-64
+NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
+
+
+class TestFrozenBits:
+    # sha256 of u_values and v_values bytes, iterations, repr(residual_sup)
+    # and repr(tol), from zero at amplitude 0.75 (damping 0.7) and warm from
+    # that solution at 0.76 (damping 0.6)
+    @pytest.mark.skipif(NUMPY_1, reason="digests recorded with numpy 2's pocketfft")
+    @pytest.mark.parametrize("n, warm, digest", [
+        (401, False,
+         "d21ecc092aac9654ddc1943ab519af59240ecd4f04db719a19f11971b0061d98"),
+        (401, True,
+         "3f8dda15affca88f7bda18bd91f60815da4ad201a9585ba638226c7b2b658ddc"),
+        (801, False,
+         "2a93429044fd6ef731b3130e1776687c742ba4473b90a80dc3a97ebf6076c7c9"),
+        (801, True,
+         "aa0c3679f61d4a9aeb00e4208a1aeeb5c20010e1665e89534ddd12bfa9be6231"),
+    ], ids=["401-zero", "401-warm", "801-zero", "801-warm"])
+    def test_picard_bits_frozen(self, model1, model2, n, warm, digest):
+        grid = build_grid((model1, model2), n)
+        f = [parse(text.format(a=0.75)) for text in PICARD_F]
+        sol = solve_picard(grid, *f, tol=1e-12, max_iter=1000, damping=0.7)
+        if warm:
+            f = [parse(text.format(a=0.76)) for text in PICARD_F]
+            sol = solve_picard(grid, *f, init=(sol.u_values, sol.v_values), tol=1e-12,
+                               max_iter=1000, damping=0.6)
+        assert sol.converged
+        h = hashlib.sha256(sol.u_values.tobytes() + sol.v_values.tobytes())
+        h.update(f"{sol.iterations}|{sol.residual_sup!r}|{sol.tol!r}".encode())
+        assert h.hexdigest() == digest
+
+
+class TestEvaluationChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_init_rejected(self, grid16, bad, which):
+        init = [np.zeros(grid16.nodes.size), np.zeros(grid16.nodes.size)]
+        init[which][5] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_picard(grid16, ONE, ONE, init=tuple(init))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_apply_T_non_finite_v_rejected(self, grid16, bad):
+        z = np.zeros(grid16.nodes.size)
+        v = z.copy()
+        v[-1] = bad
+        with pytest.raises(ValueError, match="^t, u and v must be finite$"):
+            apply_T(grid16, ONE, ONE, z, v)
+
+    def test_fault_of_the_second_nonlinearity(self, grid16):
+        z = np.zeros(grid16.nodes.size)
+        with pytest.raises(DivisionByZero) as info:
+            apply_T(grid16, parse("u + 1"), parse("1/(u-u)"), z, z)
+        assert info.value.position == 1
+        assert str(info.value) == "division by zero (operator at offset 1)"
+
+    def test_first_nonlinearity_faults_first(self, grid16):
+        z = np.zeros(grid16.nodes.size)
+        with pytest.raises(DomainError) as info:
+            apply_T(grid16, parse("2 + log(u - u)"), parse("1/(u-u)"), z, z)
+        assert info.value.position == 4
+        assert str(info.value) == "log of a non-positive number (operator at offset 4)"
