@@ -11,9 +11,11 @@ floating-point flags they raise inside one errstate block, raise typed
 EvalError subclasses carrying the byte offset of the offending token.
 
 Each parsed tree is compiled once, on its first evaluation, into nested
-closures over the ufunc table and kept on the tree. ``eval_expr_open``
-returns the value on the inputs' open grid, un-broadcast;
-``eval_expr_array`` broadcasts it to the full shape.
+closures over the ufunc table and kept on the tree. The one evaluator,
+``eval_exprs``, takes a tuple of trees, checks each input once, runs the
+trees in order in one errstate block and returns their values on the
+inputs' open grid, un-broadcast; ``eval_expr_open`` is its one-tree case
+and ``eval_expr_array`` broadcasts that to the full shape.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "eval_expr",
     "eval_expr_array",
     "eval_expr_open",
+    "eval_exprs",
     "pretty",
 ]
 
@@ -272,7 +275,7 @@ _VAR_CODE = {"t": lambda t, u, v: t, "u": lambda t, u, v: u, "v": lambda t, u, v
 def _compile(node: Expr):
     """Turn a tree into nested closures of (t, u, v) that evaluate it in post-order.
 
-    ``eval_expr_open`` keeps the result in the root's instance ``__dict__``,
+    ``eval_exprs`` keeps the result in the root's instance ``__dict__``,
     outside the dataclass fields that equality, hashing and repr read, so
     it dies with the tree and is never shared between equal trees, whose
     offsets may differ.
@@ -321,39 +324,35 @@ def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
 
 
 def eval_expr_open(expr: Expr, t, u, v) -> np.ndarray:
-    """Evaluate on broadcastable numpy arrays without broadcasting the result.
+    """``eval_exprs`` of the one tree ``expr``: its value, un-broadcast."""
+    return eval_exprs((expr,), t, u, v)[0]
 
-    Every node runs on its operands as given, so on an open grid
-    (``(n,1,1)``, ``(1,n,1)``, ``(1,1,n)`` axes) the result has length 1
-    along each axis it does not depend on, and a constant is 0-d. The
-    result broadcasts to the inputs' shape; it may be one of the inputs.
-    Inputs must be finite (else ValueError), and an empty grid is
-    evaluated on the broadcast (empty) inputs, so it never faults. The
-    tree runs in one errstate block that raises on overflow, division by
-    zero and invalid operations, the only ways from finite operands to a
-    non-finite value; the first node to raise (in post-order) is the
-    fault, named at its offset.
+
+def eval_exprs(exprs: tuple[Expr, ...], t, u, v) -> tuple[np.ndarray, ...]:
+    """Evaluate trees on broadcastable numpy arrays without broadcasting.
+
+    Every node runs on its operands as given, so on an open grid a value
+    has length 1 along each axis it does not depend on (a constant is 0-d);
+    it broadcasts to the inputs' shape and may be one of them. Inputs must
+    be finite (else ValueError); an empty grid never faults. The errstate
+    block raises on overflow, division by zero and invalid operations, the
+    only ways from finite operands to a non-finite value; the first node to
+    raise (in tree order, then post-order) is the fault, named at its offset.
     """
-    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
-    if any(0 in x.shape for x in (t, u, v)):  # an empty grid has no samples, so none can fault
+    t, u, v = np.asarray(t, dtype=float), np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if 0 in t.shape + u.shape + v.shape:  # an empty grid has no samples, so none can fault
         t, u, v = np.broadcast_arrays(t, u, v)
-    if not all(np.isfinite(x).all() for x in (t, u, v)):
+    if not (np.isfinite(t).all() and np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("t, u and v must be finite")
-    code = vars(expr).get("_code")
-    if code is None:
-        code = vars(expr)["_code"] = _compile(expr)
+    codes = [vars(e).get("_code") or vars(e).setdefault("_code", _compile(e)) for e in exprs]
     with np.errstate(all="raise", under="ignore"):
-        return np.asarray(code(t, u, v))
+        return tuple([np.asarray(code(t, u, v)) for code in codes])
 
 
 def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
-    """Evaluate on broadcastable numpy arrays; any faulty sample raises.
-
-    The value of ``eval_expr_open`` (same input rules and faults) as a
-    read-only view broadcast to the inputs' full shape.
-    """
-    res = eval_expr_open(expr, t, u, v)
-    return np.broadcast_to(res, np.broadcast(t, u, v).shape)
+    """``eval_expr_open`` (same input rules and faults: any faulty sample
+    raises) as a read-only view broadcast to the inputs' full shape."""
+    return np.broadcast_to(eval_expr_open(expr, t, u, v), np.broadcast(t, u, v).shape)
 
 
 def _prec(node: Expr) -> int:

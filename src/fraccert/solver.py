@@ -17,7 +17,8 @@ for both equations, plus O(n) corrections (those columns, that row and a
 rank-one term), which one routine integrates. No dense matrix is formed.
 Cone membership takes the minimum over the nodes in [0, b] and the
 interpolant at b. The fixed point itself is found by damped Picard
-iteration; non-convergence is a flagged outcome, never an exception.
+iteration on one stacked (2, n) state, each step one ``apply_T`` call;
+non-convergence is a flagged outcome, never an exception.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprlang import Expr, eval_expr_array
+from .exprlang import Expr, eval_exprs
 from .kernel import KernelModel
 
 __all__ = [
@@ -230,25 +231,29 @@ def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemG
 
 def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One application of the Hammerstein operator at the grid nodes: one
-    FFT convolution for both equations, then the O(n) corrections."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """One application of the Hammerstein operator at the grid nodes: f1
+    and f2 in one ``eval_exprs`` call, written into one (2, n) array, one
+    FFT convolution for both equations, then the O(n) corrections. Returns
+    the two rows of one (2, n) array."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     n = grid.nodes.size
     if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
-        raise ValueError(
-            f"state shapes {u.shape}, {v.shape} do not match the grid {grid.nodes.shape}"
-        )
-    g = np.array([eval_expr_array(f, grid.nodes, u, v) for f in (f1, f2)])
+        raise ValueError(f"state shapes {u.shape}, {v.shape} do not match the grid "
+                         f"{grid.nodes.shape}")
+    g = np.empty((2, n))
+    g[0], g[1] = eval_exprs((f1, f2), grid.nodes, u, v)
     dots = np.matmul(grid.rows, g[:, :, None])[..., 0]
-    head = np.matmul(grid.left, g[:, :4, None])[..., 0]
+    out = np.matmul(grid.left, g[:, :4, None])[..., 0]
     g[:, :4] = 0.0
     # the transforms sum O(n L) multiples of max|g|: scaled exactly, by a
-    # power of two, to |g| < 2, they overflow only where W g itself would
-    scale = 2.0 ** max(math.frexp(float(np.max(np.abs(g))))[1] - 1, 0)
+    # power of two, to |g| < 2, they overflow only where W g itself would;
+    # at scale 1 both rescales are skipped, which is exact too
+    scale = 2.0 ** max(math.frexp(float(np.abs(g).max()))[1] - 1, 0)
     size = _transform_length(n)
-    out = np.fft.irfft(np.fft.rfft(g / scale, size) * grid.spectrum, size)
-    out = out[:, 2:n + 2] * scale + head
+    spec = np.fft.rfft(g if scale == 1.0 else g / scale, size)
+    spec *= grid.spectrum
+    conv = np.fft.irfft(spec, size)[:, 2:n + 2]
+    out += conv if scale == 1.0 else conv * scale
     out[:, -1] = dots[:, 1]
     out += dots[:, :1]
     return out[0], out[1]
@@ -281,42 +286,38 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     """Solve the discretized system by damped Picard iteration.
 
     Iterates x <- (1 - damping) x + damping T(x) from ``init`` (zero by
-    default) until the defect ||x - T(x)||_inf falls below ``tol``, or
-    below 8 ulps of max_i ||T(x)_i||_inf where that floor is larger: a
-    defect cannot settle below the spacing of the doubles it is made of.
-    The returned state is then the last undamped iterate with its defect
-    as residual_sup. Exhausting ``max_iter`` damped updates, or a
-    non-finite defect, yields converged=False rather than an error.
+    default) until the defect ||x - T(x)||_inf falls below ``tol`` (finite,
+    > 0), or below 8 ulps of max_i ||T(x)_i||_inf where that floor is
+    larger: a defect cannot settle below the spacing of the doubles it is
+    made of. x is one (2, n) array: a step is one ``apply_T`` call and one
+    elementwise call each for the defect, that size and the update. The
+    returned state is the last undamped iterate (u_values and v_values its
+    rows) with its defect as residual_sup. Exhausting ``max_iter`` damped
+    updates, or a non-finite defect, yields converged=False, not an error.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if init is None:
-        u = np.zeros(grid.nodes.size)
-        v = np.zeros(grid.nodes.size)
-    else:
-        u = np.asarray(init[0], dtype=float).copy()
-        v = np.asarray(init[1], dtype=float).copy()
-        if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
-            raise ValueError(
-                f"init shapes {u.shape}, {v.shape} do not match the grid ({grid.nodes.shape})"
-            )
+    init = np.zeros((2, grid.nodes.size)) if init is None else init
+    u, v = np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float)
+    if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
+        raise ValueError(f"init shapes {u.shape}, {v.shape} do not match the grid "
+                         f"({grid.nodes.shape})")
+    w = np.stack((u, v))
     iterations = 0
     while True:
-        Tu, Tv = apply_T(grid, f1, f2, u, v)
-        residual = max(float(np.max(np.abs(Tu - u))), float(np.max(np.abs(Tv - v))))
-        size = max(float(np.max(np.abs(Tu))), float(np.max(np.abs(Tv))))
-        applied = max(tol, 8.0 * float(np.spacing(size)))
+        Tw = np.array(apply_T(grid, f1, f2, w[0], w[1]))
+        residual = float(np.abs(Tw - w).max())
+        applied = max(tol, 8.0 * float(np.spacing(np.abs(Tw).max())))
         converged = math.isfinite(residual) and residual <= applied
         if converged or not math.isfinite(residual) or iterations >= max_iter:
-            return GridSolution(grid=grid, u_values=u, v_values=v,
+            return GridSolution(grid=grid, u_values=w[0], v_values=w[1],
                                 residual_sup=residual, iterations=iterations,
                                 converged=converged, damping=damping, tol=applied)
-        u = (1.0 - damping) * u + damping * Tu
-        v = (1.0 - damping) * v + damping * Tv
+        w = (1.0 - damping) * w + damping * Tw
         iterations += 1
 
 

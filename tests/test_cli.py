@@ -716,6 +716,17 @@ class TestSolveCommand:
             f"error: ValueError: --init file {short} needs at least 4 rows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "1e999"])
+    def test_infinite_tol_exit_1(self, tmp_path, capsys, tol):
+        # the solve "converged" at step 0, wrote the CSV and then failed on
+        # serializing tol = inf into the sidecar
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", REF, "--grid", "16", "--tol", tol, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: tol must be finite and > 0, got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_too_small_exit_1(self, tmp_path, capsys):
         rc = main(["solve", "--config", REF, "--grid", "4",
                    "--out", str(tmp_path / "sol.csv")])

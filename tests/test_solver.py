@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraccert.exprlang import DivisionByZero, DomainError, parse
-from fraccert.kernel import KernelModel, build_model, compute_c, kernel_values, validate_params
+from fraccert.kernel import (KernelModel, build_model, check_params, compute_c, kernel_values,
+                             validate_params)
 from fraccert.solver import (
     _GAUSS_W,
     _GAUSS_X,
@@ -273,7 +274,8 @@ def admissible_models(draw):
     beta = draw(st.floats(0.05, 0.95)) * bound
     reach = min(1.0 - eta, (beta * math.gamma(alpha)) ** (1.0 / (alpha - 1.0)))
     b = eta + draw(st.floats(0.05, 0.95)) * reach
-    assume(b > 0.0)
+    # near alpha = 1 the reach is below one ulp of eta, and b rounds past it
+    assume(not check_params(alpha, beta, eta, b))
     return unverified_model(alpha, beta, eta, b)
 
 
@@ -530,6 +532,12 @@ class TestPicard:
     def test_parameter_validation(self, grid16, kwargs):
         with pytest.raises(ValueError):
             solve_picard(grid16, ONE, ONE, **kwargs)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_must_be_finite(self, grid16, tol):
+        # an infinite tol would "converge" at step 0 with tol = inf
+        with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got (inf|nan)$"):
+            solve_picard(grid16, ONE, ONE, tol=tol)
 
     def test_init_shape_validation(self, grid16):
         bad = np.zeros(grid16.nodes.size - 1)
