@@ -718,8 +718,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("tol", ["inf", "1e999"])
     def test_infinite_tol_exit_1(self, tmp_path, capsys, tol):
-        # the solve "converged" at step 0, wrote the CSV and then failed on
-        # serializing tol = inf into the sidecar
+        # an infinite tol would "converge" at step 0 and write the CSV, and
+        # only the sidecar would then fail, on serializing tol = inf
         out = tmp_path / "sol.csv"
         rc = main(["solve", "--config", REF, "--grid", "16", "--tol", tol, "--out", str(out)])
         assert rc == 1

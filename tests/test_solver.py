@@ -535,7 +535,7 @@ class TestPicard:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_tol_must_be_finite(self, grid16, tol):
-        # an infinite tol would "converge" at step 0 with tol = inf
+        # an infinite tol would "converge" at step 0, whatever the defect
         with pytest.raises(ValueError, match=r"^tol must be finite and > 0, got (inf|nan)$"):
             solve_picard(grid16, ONE, ONE, tol=tol)
 
