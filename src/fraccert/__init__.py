@@ -6,7 +6,7 @@ the cone constants and threshold constants (m, M and their closed-form
 envelope estimates m_hat, M_hat), checks fixed-point-index conditions
 that certify existence, multiplicity or nonexistence of nontrivial
 solutions, and solves the equivalent integral system on a collocation
-grid by damped Picard iteration.
+grid by Picard iteration with Anderson mixing.
 """
 
 from .certify import (Box3, Certificate, CertificateInvalid, ConditionFailed,

@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(fn=_cmd_certify)
 
-    p_solve = sub.add_parser("solve", help="solve the integral system by damped Picard")
+    p_solve = sub.add_parser("solve", help="solve the integral system by Anderson-mixed Picard")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--grid", type=int, default=201)
     p_solve.add_argument("--tol", type=float, default=1e-12)

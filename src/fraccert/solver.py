@@ -16,9 +16,9 @@ is a lower-triangular Toeplitz matrix, applied as one FFT convolution
 for both equations, plus O(n) corrections (those columns, that row and a
 rank-one term), which one routine integrates. No dense matrix is formed.
 Cone membership takes the minimum over the nodes in [0, b] and the
-interpolant at b. The fixed point itself is found by damped Picard
-iteration on one stacked (2, n) state, each step one ``apply_T`` call;
-non-convergence is a flagged outcome, never an exception.
+interpolant at b. The fixed point itself is found by Picard iteration
+with Anderson mixing on one stacked state, each step one ``apply_T``
+call; non-convergence is a flagged outcome, never an exception.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprlang import Expr, eval_exprs
+from .exprlang import EvalError, Expr, eval_exprs
 from .kernel import KernelModel
 
 __all__ = [
@@ -47,12 +47,20 @@ _MIN_NODES = 8
 
 # order-8 Gauss-Legendre rule on [0, 1]: exact for the cubic basis, and
 # within rho^-13 (relative) of the integral of (t - s)^(alpha-1) times it
-# on a cell ending at least one width before t (rho >= 3 + sqrt(8))
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W
+# on a cell ending at least one width before t (rho >= 3 + sqrt(8)); the
+# positive half of numpy's leggauss(8): importing numpy.polynomial held 1.5 MB
+_GAUSS_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                     0.9602898564975362])
+_GAUSS_W = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+                     0.10122853629037706])
+_GAUSS_X = 0.5 * (np.concatenate((-_GAUSS_X[::-1], _GAUSS_X)) + 1.0)
+_GAUSS_W = 0.5 * np.concatenate((_GAUSS_W[::-1], _GAUSS_W))
 
 # roundoff tolerated below the cone's lower bound
 _CONE_TOL = 1e-9
+
+# Anderson mixing's memory, and the pivot ratio that drops a difference
+_MEMORY, _DROP = 3, 1e-10
 
 # row r, column q: the r-th of the three stencil nodes other than q
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]).T
@@ -178,10 +186,12 @@ def _rows(alpha: float, x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _transform_length(n: int) -> int:
-    """The least power of two >= 2n: with n + 3 taps and n inputs, the
-    outputs 2..n+1 do not wrap, and a large prime factor of the length
-    would send pocketfft to Bluestein's algorithm, several times slower."""
-    return 1 << (2 * n - 1).bit_length()
+    """Twice the least 5-smooth integer >= n. The n + 3 taps on n inputs
+    then do not wrap onto the outputs 2..n+1, no prime factor above 5 sends
+    pocketfft to Bluestein's algorithm (several times slower), and
+    ``apply_T`` reads the even length off the spectrum's shape."""
+    # 30^bits holds every factor 2, 3 and 5 of k, so the gcd is k's 5-smooth part
+    return 2 * next(k for k in range(n, 2 * n) if k // math.gcd(k, 30 ** k.bit_length()) == 1)
 
 
 def build_grid(models: tuple[KernelModel, KernelModel], n: int = 201) -> SystemGrid:
@@ -249,7 +259,7 @@ def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
     # power of two, to |g| < 2, they overflow only where W g itself would;
     # at scale 1 both rescales are skipped, which is exact too
     scale = 2.0 ** max(math.frexp(float(np.abs(g).max()))[1] - 1, 0)
-    size = _transform_length(n)
+    size = 2 * (grid.spectrum.shape[1] - 1)
     spec = np.fft.rfft(g if scale == 1.0 else g / scale, size)
     spec *= grid.spectrum
     conv = np.fft.irfft(spec, size)[:, 2:n + 2]
@@ -261,9 +271,9 @@ def apply_T(grid: SystemGrid, f1: Expr, f2: Expr, u: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class GridSolution:
-    """Damped Picard outcome.
+    """Outcome of ``solve_picard``; ``damping`` is its mixing parameter.
 
-    ``residual_sup`` is the undamped defect max_i ||w_i - T(u, v)_i||_inf
+    ``residual_sup`` is the defect max_i ||w_i - T(u, v)_i||_inf
     of the returned state and ``tol`` the tolerance applied to it (the
     requested one, or the rounding floor where that is larger), so
     converged implies residual_sup <= tol.
@@ -279,21 +289,51 @@ class GridSolution:
     tol: float
 
 
+def _mixing_coefficients(gram: list[list[float]], rhs: list[float]) -> list[float]:
+    """gamma from the normal equations gram gamma = rhs, newest difference
+    first, by Cholesky in Python floats. A pivot at most ``_DROP`` times its
+    diagonal entry drops that difference and all older ones (Walker & Ni);
+    [] (the newest difference zero, or gamma not finite) asks for the plain
+    damped step."""
+    L, y = [], []
+    for k, (row, b) in enumerate(zip(gram, rhs)):
+        lk = row[:k]
+        for i in range(k):
+            for p in range(i):
+                lk[i] -= lk[p] * L[i][p]
+            lk[i] /= L[i][i]
+        pivot = row[k]
+        for p in range(k):
+            pivot -= lk[p] * lk[p]
+            b -= lk[p] * y[p]
+        if not pivot > _DROP * row[k]:
+            break
+        L.append(lk + [math.sqrt(pivot)])
+        y.append(b / L[k][k])
+    for k in reversed(range(len(y))):
+        for i in range(k + 1, len(y)):
+            y[k] -= L[i][k] * y[i]
+        y[k] /= L[k][k]
+    return y if math.isfinite(sum(y)) else []
+
+
 def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
                  init: tuple[np.ndarray, np.ndarray] | None = None,
                  tol: float = 1e-12, max_iter: int = 200,
                  damping: float = 0.5) -> GridSolution:
-    """Solve the discretized system by damped Picard iteration.
+    """Solve the discretized system by Picard iteration with Anderson mixing.
 
-    Iterates x <- (1 - damping) x + damping T(x) from ``init`` (zero by
-    default) until the defect ||x - T(x)||_inf falls below ``tol`` (finite,
-    > 0), or below 8 ulps of max_i ||T(x)_i||_inf where that floor is
-    larger: a defect cannot settle below the spacing of the doubles it is
-    made of. x is one (2, n) array: a step is one ``apply_T`` call and one
-    elementwise call each for the defect, that size and the update. The
-    returned state is the last undamped iterate (u_values and v_values its
-    rows) with its defect as residual_sup. Exhausting ``max_iter`` damped
-    updates, or a non-finite defect, yields converged=False, not an error.
+    From x = (u, v) stacked (``init``, zero by default) a step goes to the
+    damped point P = (1 - damping) x + damping T(x) less sum_i gamma_i dP_i,
+    gamma the least-squares fit of the defect F = T(x) - x by its last
+    ``_MEMORY`` differences dF_i (type II, Walker & Ni), kept with those of P
+    in (m, 2n) ring buffers: one ``apply_T`` call, and one matmul each for
+    the new Gram row, the right-hand side and the mixing. It stops when
+    ||F||_inf <= ``tol`` (finite, > 0), or <= 8 ulps of ||T(x)||_inf where
+    that is larger (no defect settles below the spacing of its doubles), and
+    returns that iterate with ||F||_inf as residual_sup. A mixed point where
+    f1 or f2 faults is replaced by P; a fault elsewhere is raised. Exhausting
+    ``max_iter`` steps, or a non-finite defect, gives converged=False.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping!r}")
@@ -301,23 +341,48 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    init = np.zeros((2, grid.nodes.size)) if init is None else init
+    n = grid.nodes.size
+    init = np.zeros((2, n)) if init is None else init
     u, v = np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float)
     if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
         raise ValueError(f"init shapes {u.shape}, {v.shape} do not match the grid "
                          f"({grid.nodes.shape})")
-    w = np.stack((u, v))
-    iterations = 0
+    x = np.concatenate((u, v))
+    dF, dP = np.zeros((2, _MEMORY, 2 * n))
+    order, gram = [], []  # the ring slots in use, newest first, and their Gram matrix
+    iterations, P = 0, None
     while True:
-        Tw = np.array(apply_T(grid, f1, f2, w[0], w[1]))
-        residual = float(np.abs(Tw - w).max())
-        applied = max(tol, 8.0 * float(np.spacing(np.abs(Tw).max())))
+        try:
+            Tx = np.concatenate(apply_T(grid, f1, f2, x[:n], x[n:]))
+        except EvalError:
+            if x is P or P is None:
+                raise
+            x = P  # the mixed point left f's domain; P lies between x and T(x)
+            continue
+        F = Tx - x
+        residual = float(abs(F).max())
+        applied = max(tol, 8.0 * float(np.spacing(abs(Tx).max())))
         converged = math.isfinite(residual) and residual <= applied
         if converged or not math.isfinite(residual) or iterations >= max_iter:
-            return GridSolution(grid=grid, u_values=w[0], v_values=w[1],
+            return GridSolution(grid=grid, u_values=x[:n], v_values=x[n:],
                                 residual_sup=residual, iterations=iterations,
                                 converged=converged, damping=damping, tol=applied)
-        w = (1.0 - damping) * w + damping * Tw
+        x = P = F * (damping - 1.0) + Tx  # (1 - damping) x + damping T(x)
+        if iterations:
+            j = iterations % _MEMORY
+            np.subtract(F, F_last, out=dF[j])
+            np.subtract(P, P_last, out=dP[j])
+            row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
+            order = [j] + order[:_MEMORY - 1]
+            gram = [[row[a] for a in order]] + [[row[a]] + r[:len(order) - 1]
+                                                for a, r in zip(order[1:], gram)]
+            gamma = _mixing_coefficients(gram, [rhs[a] for a in order])
+            del order[len(gamma):]
+            if gamma:  # gamma by ring slot, 0 where a slot is not in use
+                x = np.dot([gamma[order.index(a)] if a in order else 0.0
+                            for a in range(_MEMORY)], dP)
+                np.subtract(P, x, out=x)
+        F_last, P_last = F, P
         iterations += 1
 
 

@@ -24,6 +24,7 @@ from fraccert.solver import (
     _Cells,
     _cells,
     _lagrange_stencil,
+    _mixing_coefficients,
     _rows,
     _transform_length,
     apply_T,
@@ -32,7 +33,7 @@ from fraccert.solver import (
     interpolate_nodes,
     solve_picard,
 )
-from test_certify import S6_F1, S6_F2
+from test_certify import S3_F1, S3_F2, S6_F1, S6_F2
 
 
 def row_integral(params, t, degree=0):
@@ -200,6 +201,11 @@ class TestGrid:
         nodes = assert_cubics_integrated((model1, model2), 9)[0].nodes
         assert nodes.size == 9
         assert np.count_nonzero(np.abs(nodes - 0.75) < 1e-15) == 1
+
+    def test_gauss_rule_is_leggauss_bit_for_bit(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(_GAUSS_X, 0.5 * (x + 1.0))
+        assert np.array_equal(_GAUSS_W, 0.5 * w)
 
     def test_too_few_nodes(self, model1, model2):
         with pytest.raises(ValueError):
@@ -499,12 +505,36 @@ class TestPicard:
         assert again.converged and again.iterations == 0
 
     def test_divergent_iteration_is_flagged(self, grid16):
-        sol = solve_picard(grid16, parse("3*u + 1"), parse("3*v + 1"),
+        # u^2 + 10 has no fixed point: phi >= 0 below with phi_p < sqrt(40) c_p,
+        # c = phi^T W, turns u = W(u^2 + 10) into sum_p c_p u_p^2 - phi_p u_p
+        # + 10 c_p = 0, whose every term is positive (negative discriminant);
+        # so the iteration cannot settle (the affine 3u + 1 it used to fail
+        # on is solved like a linear system, test_affine_map_is_solved)
+        for W in dense_weights(grid16):
+            phi = np.ones(grid16.nodes.size)
+            for _ in range(200):
+                phi = np.maximum(W.T @ phi, 0.0)
+                phi /= phi.max()
+            assert np.all(phi < math.sqrt(40.0) * (phi @ W))
+        sol = solve_picard(grid16, parse("u*u + 10"), parse("v*v + 10"),
                            max_iter=60, damping=1.0)
         assert not sol.converged
         assert sol.iterations == 60
         assert math.isfinite(sol.residual_sup)
         assert sol.residual_sup > 1.0
+
+    def test_affine_map_is_solved(self, grid16):
+        # Anderson mixing on an affine map acts like GMRES: f = 3u + 1, on
+        # which damped Picard diverges, converges to the solution of the
+        # linear system (I - 3 W) w = W 1
+        sol = solve_picard(grid16, parse("3*u + 1"), parse("3*v + 1"),
+                           max_iter=60, damping=1.0)
+        assert sol.converged and sol.residual_sup <= 1e-12
+        eye, ones = np.eye(grid16.nodes.size), np.ones(grid16.nodes.size)
+        for W, w in zip(dense_weights(grid16), (sol.u_values, sol.v_values)):
+            exact = np.linalg.solve(eye - 3.0 * W, W @ ones)
+            assert np.max(np.abs(w - exact)) < 1e-11
+        assert -2.1 < np.min(sol.u_values) < np.max(sol.u_values) < 0.0
 
     def test_large_state_stops_at_rounding_floor(self, model1, model2):
         # from 1e4 the S6 plateaus lift ||v|| to ~4.7e6, where one ulp is
@@ -544,6 +574,108 @@ class TestPicard:
         good = np.zeros(grid16.nodes.size)
         with pytest.raises(ValueError):
             solve_picard(grid16, ONE, ONE, init=(bad, good))
+
+
+# picard_warm's forcings at amplitude 0.75, and at 0.76, one continuation step on
+PICARD_F = ("{a}*(1 + 0.4*sin(u)) + 0.2*cos(v)", "{a}*(1 + 0.3*cos(u)) + 0.2*sin(v)")
+
+
+def damped_picard(grid, f1, f2, start, tol, damping):
+    """The plain damped iteration w <- (1 - damping) w + damping T(w), with
+    solve_picard's stopping rule: the reference for its Anderson mixing."""
+    w = np.array(start, dtype=float)
+    for _ in range(5000):
+        Tw = np.array(apply_T(grid, f1, f2, w[0], w[1]))
+        if np.max(np.abs(Tw - w)) <= max(tol, 8.0 * np.spacing(np.max(np.abs(Tw)))):
+            return w
+        w = (1.0 - damping) * w + damping * Tw
+    raise AssertionError("damped Picard did not converge")
+
+
+# (nodes, f1, f2, constant start, damping, tol): the problems damped Picard
+# solved in this suite, and the S3 plateau problem from 23 constant starts
+PICARD_PROBLEMS = [
+    (16, "1", "1", 0.0, 1.0, 1e-12),
+    (64, "1", "1", 0.0, 0.5, 1e-13),
+    (64, "10", "10", 0.0, 0.5, 1e-12),
+    (16, "0.2*cos(u) + 0.1*v", "0.3*sin(u + v) + 0.5", 0.0, 0.5, 1e-12),
+    (65, "exp(t)", "cos(3*t)", 0.0, 1.0, 1e-11),
+    (401, PICARD_F[0].format(a=0.75), PICARD_F[1].format(a=0.75), 0.0, 0.7, 1e-12),
+    (201, S6_F1, S6_F2, 1e4, 0.5, 1e-12),
+] + [(201, S3_F1, S3_F2, float(c), 0.5, 1e-10) for c in np.logspace(-4.0, 7.0, 23)]
+
+
+class TestAndersonMixing:
+    def test_normal_equations_solved(self):
+        dF = np.random.default_rng(3).standard_normal((3, 50))
+        f = np.arange(50.0)
+        gamma = _mixing_coefficients((dF @ dF.T).tolist(), (dF @ f).tolist())
+        assert np.allclose(gamma, np.linalg.lstsq(dF.T, f, rcond=None)[0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gram, rhs", [
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),
+        ([[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+        ([[math.inf]], [1.0]),
+        ([[1.0]], [math.inf]),
+    ], ids=["zero", "newest-zero", "overflowed-gram", "overflowed-rhs"])
+    def test_singular_gram_takes_the_plain_step(self, gram, rhs):
+        assert _mixing_coefficients(gram, rhs) == []
+
+    def test_ill_conditioned_gram_drops_the_oldest(self):
+        # newest first: the oldest difference lies within 1e-6 of the span of
+        # the two newer ones: its pivot is 2.5e-13 of its diagonal entry
+        a, b = np.eye(4)[0], np.eye(4)[1] + 0.5 * np.eye(4)[0]
+        dF = np.array([a, b, a - 2.0 * b + 1e-6 * np.eye(4)[2]])
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        gamma = _mixing_coefficients((dF @ dF.T).tolist(), (dF @ f).tolist())
+        assert len(gamma) == 2
+        assert gamma == _mixing_coefficients((dF[:2] @ dF[:2].T).tolist(), (dF[:2] @ f).tolist())
+        assert np.allclose(gamma, np.linalg.lstsq(dF[:2].T, f, rcond=None)[0], rtol=1e-12)
+        # an exact repeat of the newest drops itself and everything older
+        assert _mixing_coefficients([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                    [1.0, 1.0, 1.0]) == [1.0]
+
+    @pytest.mark.parametrize("n, f1, f2, start, damping, tol", PICARD_PROBLEMS)
+    def test_damped_picard_states_are_kept(self, model1, model2, n, f1, f2, start, damping,
+                                           tol):
+        # against damped Picard run to tol / 100: near these solutions T is
+        # a weak contraction, so a state's distance to the fixed point is
+        # about its defect
+        grid = build_grid((model1, model2), n)
+        f1, f2 = parse(f1), parse(f2)
+        init = np.full((2, n), start)
+        sol = solve_picard(grid, f1, f2, init=init, tol=tol, max_iter=1000, damping=damping)
+        assert sol.converged
+        ref = damped_picard(grid, f1, f2, init, tol / 100.0, damping)
+        assert np.max(np.abs(np.stack((sol.u_values, sol.v_values)) - ref)) <= sol.tol
+
+    @pytest.mark.parametrize("f, damping", [("sqrt(u + 0.5)*4", 0.5), ("log(u + 0.2) + 2", 0.5),
+                                            ("log(u + 0.2) + 2", 1.0)])
+    def test_fault_at_a_mixed_point_takes_the_damped_step(self, grid64, f, damping):
+        # mixing extrapolates, here below u = -0.5 (-0.2) where f is not
+        # defined; damped Picard's averages stay above it, and so does the
+        # damped point that replaces a faulting mixed one. T' is not small
+        # here: (I - T')^-1 takes a defect of 1e-12 to about 1.7e-12
+        f1, f2 = parse(f), parse(f.replace("u", "v"))
+        sol = solve_picard(grid64, f1, f2, tol=1e-12, max_iter=1000, damping=damping)
+        assert sol.converged
+        ref = damped_picard(grid64, f1, f2, np.zeros((2, 64)), 1e-14, damping)
+        assert np.max(np.abs(np.stack((sol.u_values, sol.v_values)) - ref)) <= 10.0 * sol.tol
+
+    def test_fault_at_a_damped_point_is_raised(self, grid64):
+        with pytest.raises(DomainError):
+            solve_picard(grid64, parse("sqrt(u + 0.3)*6"), parse("sqrt(v + 0.3)*6"))
+
+    def test_s3_plateau_starts_reach_three_states(self, model1, model2):
+        grid = build_grid((model1, model2), 201)
+        f1, f2 = parse(S3_F1), parse(S3_F2)
+        norms = set()
+        for c in np.logspace(-4.0, 7.0, 23):
+            sol = solve_picard(grid, f1, f2, init=np.full((2, 201), c), tol=1e-10, max_iter=1000)
+            assert sol.converged and sol.iterations < 30
+            norms.add((round(float(np.max(np.abs(sol.u_values))), 1),
+                       round(float(np.max(np.abs(sol.v_values))), 1)))
+        assert norms == {(0.0, 0.0), (0.3, 0.5), (605.8, 4565.7)}
 
 
 class TestInterpolation:
@@ -675,9 +807,6 @@ class TestConvergenceOrder:
         assert 0.45 < ratio < 0.55
 
 
-# picard_warm's forcings at amplitude 0.75, and at 0.76, one continuation step on
-PICARD_F = ("{a}*(1 + 0.4*sin(u)) + 0.2*cos(v)", "{a}*(1 + 0.3*cos(u)) + 0.2*sin(v)")
-
 # the transforms and the power, sin and cos loops round per numpy build: the
 # digests below were recorded with numpy 2.4 (C++ pocketfft) on x86-64
 NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
@@ -690,13 +819,13 @@ class TestFrozenBits:
     @pytest.mark.skipif(NUMPY_1, reason="digests recorded with numpy 2's pocketfft")
     @pytest.mark.parametrize("n, warm, digest", [
         (401, False,
-         "d21ecc092aac9654ddc1943ab519af59240ecd4f04db719a19f11971b0061d98"),
+         "00a118bbca15820fa7fdf48f522ce4850c87c8bb50c05e0573eb2d0b54825005"),
         (401, True,
-         "3f8dda15affca88f7bda18bd91f60815da4ad201a9585ba638226c7b2b658ddc"),
+         "4e73f44236dbfa00a3d5ac2a87463975f4359bdbd6fb1f71d591620eabf49da9"),
         (801, False,
-         "2a93429044fd6ef731b3130e1776687c742ba4473b90a80dc3a97ebf6076c7c9"),
+         "bf3a0f2bb543c5d8ebd3e3148b6ecb01348c40879801aea160ed4f6574e9e3fe"),
         (801, True,
-         "aa0c3679f61d4a9aeb00e4208a1aeeb5c20010e1665e89534ddd12bfa9be6231"),
+         "1234f89abeccd239ab5c875501160d5aea64126561e7717262775a04dacf3749"),
     ], ids=["401-zero", "401-warm", "801-zero", "801-warm"])
     def test_picard_bits_frozen(self, model1, model2, n, warm, digest):
         grid = build_grid((model1, model2), n)
