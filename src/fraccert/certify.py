@@ -26,6 +26,10 @@ All extrema are sampled estimates, not proved bounds: a sup estimate is a
 lower bound of the true sup, an inf estimate an upper bound of the true
 inf. Boxes are sampled on open grids, never on materialised meshes: an
 expression is evaluated un-broadcast and its extremum is taken there.
+Only the axes the expression reads are built; an unread axis is its first
+point, where the full grid's first maximum lies, and ``samples`` still
+counts the full grid. A ladder level checks its equations in order and
+stops at the first that fails (``check_I1`` and ``check_I0`` return both).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, eval_expr_open
+from .exprlang import Expr, _compiled
 from .problem import Problem
 
 __all__ = [
@@ -76,6 +80,8 @@ class Box3:
                                ("v_range", self.v_range)):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"box {name} = ({lo!r}, {hi!r}) is not a finite ordered pair")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box {name} = ({lo!r}, {hi!r}) is too wide: hi - lo overflows")
         if not (0.0 <= self.t_range[0] and self.t_range[1] <= 1.0):
             raise ValueError(f"box t_range {self.t_range!r} must lie within [0, 1]")
 
@@ -105,7 +111,8 @@ def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float], int
     ``fn`` gets the axes shaped (n,1,1), (1,n,1), (1,1,n) and may return
     its value un-broadcast. The argmax runs on that small array: the full
     grid is constant along its length-1 axes, so the full grid's first
-    (C-order) maximum has index 0 there. ``samples`` counts the full grid.
+    (C-order) maximum has index 0 there. The count is that of the grid of
+    ``axes``; callers that leave out unread axes count the full grid.
     """
     t, u, v = axes
     vals = fn(t.reshape(-1, 1, 1), u.reshape(1, -1, 1), v.reshape(1, 1, -1))
@@ -128,27 +135,38 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
     return axis
 
 
-def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> ExtremumEstimate:
-    """Maximize sign * fn over the box: coarse scan plus shrinking rescans."""
+def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
+                  sign: float) -> ExtremumEstimate:
+    """Maximize sign * expr over the box: coarse scan plus shrinking rescans.
+
+    Box3 checked the box once (finite ends and width), so the compiled code
+    runs unchecked on its axes, in one errstate block for all rounds.
+    """
     if grid < 3:
         raise ValueError(f"grid must be >= 3 points per axis, got {grid}")
+    code, reads = _compiled(expr)
     ranges = (box.t_range, box.u_range, box.v_range)
-    axes = [_axis(lo, hi, grid) for lo, hi in ranges]
-    best, loc, n = _scan(fn, axes, sign)
-    total = n
-    half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
-    for _ in range(refine_rounds):
-        if all(h < 1e-15 for h in half):
-            break
-        axes = [
-            _axis(max(lo, x - h), min(hi, x + h), grid)
-            for (lo, hi), x, h in zip(ranges, loc, half)
-        ]
-        val, where, n = _scan(fn, axes, sign)
-        total += n
-        if val > best:
-            best, loc = val, where
-        half = [h / 2.0 for h in half]
+
+    def scan(bounds):
+        # an unread axis is _axis's first point, 0 * step + lo (so -0.0 becomes
+        # +0.0), where the full grid's first maximum lies
+        axes = [_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0 if hi > lo else lo])
+                for (lo, hi), name in zip(bounds, "tuv")]
+        val, where, _ = _scan(code, axes, sign)
+        return val, where, math.prod(grid if hi > lo else 1 for lo, hi in bounds)
+
+    with np.errstate(all="raise", under="ignore"):
+        best, loc, total = scan(ranges)
+        half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
+        for _ in range(refine_rounds):
+            if all(h < 1e-15 for h in half):
+                break
+            val, where, n = scan([(max(lo, x - h), min(hi, x + h))
+                                  for (lo, hi), x, h in zip(ranges, loc, half)])
+            total += n
+            if val > best:
+                best, loc = val, where
+            half = [h / 2.0 for h in half]
     return ExtremumEstimate(
         kind="sup" if sign > 0 else "inf",
         value=sign * best,
@@ -160,14 +178,12 @@ def _box_extremum(fn, box: Box3, grid: int, refine_rounds: int, sign: float) -> 
 
 def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled supremum of an expression over a box (monotone under refinement)."""
-    fn = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg)
-    return _box_extremum(fn, box, grid, refine_rounds, 1.0)
+    return _box_extremum(expr, box, grid, refine_rounds, 1.0)
 
 
 def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
     """Sampled infimum of an expression over a box (monotone under refinement)."""
-    fn = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg)
-    return _box_extremum(fn, box, grid, refine_rounds, -1.0)
+    return _box_extremum(expr, box, grid, refine_rounds, -1.0)
 
 
 @dataclass(frozen=True)
@@ -275,18 +291,19 @@ def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | N
     )
 
 
+def _check_one(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> ConditionResult:
+    """One equation's index condition (I1, I0 or I0star) at radii rho."""
+    if kind == "I1":
+        box = _i1_box(rho)
+        return _condition(problem, kind, i, rho, box, box_sup(problem.f[i - 1], box))
+    box = _i0_box(problem, rho, i, kind == "I0star")
+    return _condition(problem, kind, i, rho, box, box_inf(problem.f[i - 1], box))
+
+
 def check_I1(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResult, ConditionResult]:
     """Index-1 condition: sup f_i / rho_i < m_i for both equations."""
     rho = _radii((rho1, rho2))
-    box = _i1_box(rho)
-    return tuple(_condition(problem, "I1", i, rho, box, box_sup(problem.f[i - 1], box))
-                 for i in (1, 2))
-
-
-def _check_I0_one(problem: Problem, rho: tuple[float, float], i: int, star: bool) -> ConditionResult:
-    box = _i0_box(problem, rho, i, star)
-    return _condition(problem, "I0star" if star else "I0", i, rho, box,
-                      box_inf(problem.f[i - 1], box))
+    return (_check_one(problem, "I1", rho, 1), _check_one(problem, "I1", rho, 2))
 
 
 def check_I0(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResult, ConditionResult]:
@@ -296,14 +313,14 @@ def check_I0(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResul
     |v| <= rho_2/c_2; equation 2 mirrors this in v.
     """
     rho = _radii((rho1, rho2))
-    return (_check_I0_one(problem, rho, 1, False), _check_I0_one(problem, rho, 2, False))
+    return (_check_one(problem, "I0", rho, 1), _check_one(problem, "I0", rho, 2))
 
 
 def check_I0_star(problem: Problem, rho1: float, rho2: float, i: int) -> ConditionResult:
     """Starred index-0 condition for one equation with range [0, rho_i/c_i]."""
     if i not in (1, 2):
         raise ValueError(f"equation index must be 1 or 2, got {i!r}")
-    return _check_I0_one(problem, _radii((rho1, rho2)), i, True)
+    return _check_one(problem, "I0star", _radii((rho1, rho2)), i)
 
 
 # pattern -> (condition kinds per ladder level, guaranteed solution count)
@@ -336,22 +353,19 @@ def _check_ladder(problem: Problem, kinds, ladder) -> None:
 
 def _eval_level(problem: Problem, kind: str, rho: tuple[float, float],
                 star_allowed: bool) -> tuple[ConditionResult, ...]:
-    """Evaluate one ladder level; raises ConditionFailed if it cannot hold."""
-    if kind == "I1":
-        results = check_I1(problem, *rho)
-        for res in results:
-            if not res.holds:
-                raise ConditionFailed(res)
-        return results
-    results = check_I0(problem, *rho)
-    if all(res.holds for res in results):
-        return results
-    if star_allowed:
-        for i in (1, 2):
-            starred = check_I0_star(problem, *rho, i)
-            if starred.holds:
-                return (starred,)
-    raise ConditionFailed(next(res for res in results if not res.holds))
+    """Evaluate one ladder level equation by equation; raises ConditionFailed
+    at the first equation that fails, without sampling the next one."""
+    results = []
+    for i in (1, 2):
+        res = _check_one(problem, kind, rho, i)
+        if not res.holds:
+            for j in (1, 2) if star_allowed else ():
+                starred = check_I0_star(problem, *rho, j)
+                if starred.holds:
+                    return (starred,)
+            raise ConditionFailed(res)
+        results.append(res)
+    return tuple(results)
 
 
 def _kinds(pattern: str) -> tuple[str, ...]:
@@ -449,7 +463,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     NE2: inf f_i / w_i > M_i over t in [0, b_i] and box samples with
     w_i > 0.
     """
-    expr = problem.f[i - 1]
+    code, reads = _compiled(problem.f[i - 1])
     own = box.u_range if i == 1 else box.v_range
     other = box.v_range if i == 1 else box.u_range
     scale = max(abs(own[0]), abs(own[1]))
@@ -457,7 +471,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
         raise ValueError(f"equation {i} component box {own!r} has zero scale")
     eps = NE_EXCLUSION * scale
     if kind == "NE1":
-        t_axis = np.linspace(0.0, 1.0, n)
+        t_hi = 1.0
         own_axis = np.linspace(own[0], own[1], n)
         own_axis = own_axis[np.abs(own_axis) >= eps]
         if own_axis.size == 0:
@@ -466,7 +480,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
                 f"zone |w| < {eps:g}"
             )
     else:
-        t_axis = np.linspace(0.0, problem.b(i), n)
+        t_hi = problem.b(i)
         lo = max(own[0], eps)
         if not own[1] >= lo:
             raise ValueError(
@@ -474,20 +488,23 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
                 f"box {own!r} has none above {eps:g}"
             )
         own_axis = np.linspace(lo, own[1], n)
-    other_axis = np.linspace(other[0], other[1], n)
+    # the ratio reads its own component; an unread t or other axis is
+    # linspace's first point, 0 * step + start (so -0.0 becomes +0.0)
+    t_axis, other_axis = (np.linspace(start, stop, n) if name in reads else np.array([start + 0.0])
+                          for name, (start, stop) in (("t", (0.0, t_hi)), ("vu"[i - 1], other)))
     u_axis, v_axis = (own_axis, other_axis) if i == 1 else (other_axis, own_axis)
     # variant 2 samples only w_i > 0, where |w_i| = w_i
     sign = 1.0 if kind == "NE1" else -1.0
-    ratio = lambda tg, ug, vg: eval_expr_open(expr, tg, ug, vg) / np.abs(ug if i == 1 else vg)
+    ratio = lambda tg, ug, vg: code(tg, ug, vg) / np.abs(ug if i == 1 else vg)
     try:
-        with np.errstate(over="raise"):
-            best, loc, samples = _scan(ratio, (t_axis, u_axis, v_axis), sign)
+        with np.errstate(all="raise", under="ignore"):
+            best, loc, _ = _scan(ratio, (t_axis, u_axis, v_axis), sign)
     except FloatingPointError:
         raise ValueError(f"condition {kind} for equation {i}: growth ratio "
                          f"f{i}/|{'uv'[i - 1]}| overflows") from None
     est = ExtremumEstimate(
         kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
-        samples=samples, refine_rounds=0,
+        samples=n * own_axis.size * n, refine_rounds=0,
     )
     return _condition(problem, kind, i, None, box, est)
 

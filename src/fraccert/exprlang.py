@@ -11,11 +11,12 @@ floating-point flags they raise inside one errstate block, raise typed
 EvalError subclasses carrying the byte offset of the offending token.
 
 Each parsed tree is compiled once, on its first evaluation, into nested
-closures over the ufunc table and kept on the tree. The one evaluator,
-``eval_exprs``, takes a tuple of trees, checks each input once, runs the
-trees in order in one errstate block and returns their values on the
-inputs' open grid, un-broadcast; ``eval_expr_open`` is its one-tree case
-and ``eval_expr_array`` broadcasts that to the full shape.
+closures over the ufunc table, paired with the set of variables it reads,
+and kept on the tree. The one evaluator, ``eval_exprs``, takes a tuple of
+trees, checks each input once, runs the trees in order in one errstate
+block and returns their values on the inputs' open grid, un-broadcast;
+``eval_expr_open`` is its one-tree case and ``eval_expr_array`` broadcasts
+that to the full shape. ``certify`` runs the code on axes it checked.
 """
 
 from __future__ import annotations
@@ -273,30 +274,27 @@ _VAR_CODE = {"t": lambda t, u, v: t, "u": lambda t, u, v: u, "v": lambda t, u, v
 
 
 def _compile(node: Expr):
-    """Turn a tree into nested closures of (t, u, v) that evaluate it in post-order.
-
-    ``eval_exprs`` keeps the result in the root's instance ``__dict__``,
-    outside the dataclass fields that equality, hashing and repr read, so
-    it dies with the tree and is never shared between equal trees, whose
-    offsets may differ.
-    """
+    """Turn a tree into nested closures of (t, u, v) that evaluate it in post-order,
+    paired with the set of variables the tree reads."""
     if isinstance(node, Num):
         value = np.asarray(node.value, dtype=float)
         value.flags.writeable = False
-        return lambda t, u, v: value
+        return (lambda t, u, v: value), frozenset()
     if isinstance(node, Var):
-        return _VAR_CODE[node.name]
+        return _VAR_CODE[node.name], frozenset((node.name,))
     if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        return lambda t, u, v: np.negative(operand(t, u, v))
+        operand, reads = _compile(node.operand)
+        return (lambda t, u, v: np.negative(operand(t, u, v))), reads
     if isinstance(node, Bin):
         op, children = node.op, (node.left, node.right)
     else:
         op, children = node.fn, node.args
     pos = node.pos
     apply = (lambda a, b: _power(a, b, pos)) if op == "^" else _UFUNCS[op]
-    if len(children) == 1:
-        arg = _compile(children[0])
+    codes, reads = zip(*[_compile(child) for child in children])
+    reads = frozenset().union(*reads)
+    if len(codes) == 1:
+        arg = codes[0]
 
         def call1(t, u, v):
             a = arg(t, u, v)
@@ -305,8 +303,8 @@ def _compile(node: Expr):
             except FloatingPointError:
                 raise _fault(op, (a,), pos) from None
 
-        return call1
-    left, right = _compile(children[0]), _compile(children[1])
+        return call1, reads
+    left, right = codes
 
     def call2(t, u, v):
         a, b = left(t, u, v), right(t, u, v)
@@ -315,7 +313,15 @@ def _compile(node: Expr):
         except FloatingPointError:
             raise _fault(op, (a, b), pos) from None
 
-    return call2
+    return call2, reads
+
+
+def _compiled(expr: Expr):
+    """The tree's (code, variables read), compiled on first use and kept in the
+    root's instance ``__dict__``, outside the fields equality, hashing and repr
+    read: it dies with the tree and is never shared between equal trees, whose
+    offsets may differ. Callers run the code on finite inputs in ``eval_exprs``' errstate."""
+    return vars(expr).get("_code") or vars(expr).setdefault("_code", _compile(expr))
 
 
 def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
@@ -344,7 +350,7 @@ def eval_exprs(exprs: tuple[Expr, ...], t, u, v) -> tuple[np.ndarray, ...]:
         t, u, v = np.broadcast_arrays(t, u, v)
     if not (np.isfinite(t).all() and np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("t, u and v must be finite")
-    codes = [vars(e).get("_code") or vars(e).setdefault("_code", _compile(e)) for e in exprs]
+    codes = [_compiled(e)[0] for e in exprs]
     with np.errstate(all="raise", under="ignore"):
         return tuple([np.asarray(code(t, u, v)) for code in codes])
 

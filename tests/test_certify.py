@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _golden import EXTREMUM_CASES
@@ -30,8 +30,8 @@ from fraccert.certify import (
     revalidate_certificate,
     search_certificate,
 )
-from fraccert.exprlang import Num, Var, parse, pretty
-from test_exprlang import _branches, _trees
+from fraccert.exprlang import DivisionByZero, DomainError, Num, Overflow, Var, parse, pretty
+from test_exprlang import _branches, _fault_trees, _trees
 
 UNIT = Box3(t_range=(0.0, 1.0), u_range=(-1.0, 1.0), v_range=(-1.0, 1.0))
 
@@ -76,6 +76,11 @@ class TestBox3:
     def test_invalid(self, t, u, v):
         with pytest.raises(ValueError):
             Box3(t, u, v)
+
+    def test_overflowing_width_named(self):
+        # both ends are finite, but hi - lo is not: no axis could be built
+        with pytest.raises(ValueError, match=r"u_range = \(-1e\+308, 1e\+308\) is too wide"):
+            Box3((0.0, 1.0), (-1e308, 1e308), (-1.0, 1.0))
 
 
 class TestBoxExtremum:
@@ -249,6 +254,138 @@ class TestOpenGridParity:
                 return str(exc)
 
         assert run() == on_mesh(run)
+
+
+def _outcome(call):
+    """A result, the failed condition, or an error's class and message."""
+    try:
+        return call()
+    except ConditionFailed as exc:
+        return (exc.result,)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def on_full_mesh(call):
+    """``_outcome(call)`` on the full 3-D mesh of the full axes, and the size
+    of each mesh scanned: every tree reports that it reads t, u and v, and
+    _scan is the meshgrid reference."""
+    sizes = []
+    compiled = certify._compiled
+
+    def scan(fn, axes, sign):
+        found = meshgrid_scan(fn, axes, sign)
+        sizes.append(found[2])
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_scan", scan)
+        patch.setattr(certify, "_compiled", lambda expr: (compiled(expr)[0], frozenset("tuv")))
+        return _outcome(call), sizes
+
+
+# -0.0 box ends: an unread axis must report the full axis's first point,
+# 0 * step + lo, which is +0.0 unless the range is a single point
+_SIGNED_ZERO_BOX = Box3((0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0))
+
+
+class TestReadAxes:
+    """Only the axes a tree reads are built. Results compare by repr, so
+    value, location (with the sign of a zero), samples and every fault's
+    class, offset and message match the full-mesh scan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_parity_trees, _fault_trees), _parity_boxes, st.integers(3, 9),
+           st.integers(0, 3))
+    @example(Var("t"), _SIGNED_ZERO_BOX, 3, 2)
+    @example(Num(1.0), _SIGNED_ZERO_BOX, 5, 1)
+    def test_box_extrema(self, tree, box, grid, rounds):
+        for extremum in (box_sup, box_inf):
+            call = lambda: extremum(tree, box, grid=grid, refine_rounds=rounds)
+            want, sizes = on_full_mesh(call)
+            assert repr(_outcome(call)) == repr(want)
+            if isinstance(want, ExtremumEstimate):
+                assert want.samples == sum(sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_parity_trees, _fault_trees), _parity_trees, _parity_boxes,
+           st.integers(1, 3), st.integers(3, 9))
+    @example(Var("u"), Var("v"), Box3((0.0, 1.0), (-1.0, 1.0), (-0.0, 2.0)), 1, 5)
+    def test_nonexistence(self, base_problem, f1, f2, box, variant, n):
+        problem = dataclasses.replace(base_problem, f=(f1, f2), f_text=(pretty(f1), pretty(f2)))
+        call = lambda: check_nonexistence(problem, variant, box, n).conditions
+        want, sizes = on_full_mesh(call)
+        assert repr(_outcome(call)) == repr(want)
+        if isinstance(want[0], ConditionResult):
+            # the last assignment tried scans the last two meshes
+            assert {cond.estimate.samples for cond in want} <= set(sizes[-2:])
+
+
+class TestRefineFaults:
+    # the 3-point coarse axis of u misses u = 0.75; a refine round hits it
+    BOX = Box3((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
+
+    @pytest.mark.parametrize("text, extremum, error, message", [
+        ("log(abs(u - 0.75)) + v", box_inf, DomainError,
+         "log of a non-positive number (operator at offset 0)"),
+        ("1/(u - 0.75) * t", box_sup, DivisionByZero, "division by zero (operator at offset 1)"),
+        ("exp(1000*(1 - 4*abs(u - 0.75))) - v", box_sup, Overflow,
+         "exp overflowed to a non-finite value (operator at offset 0)"),
+    ])
+    def test_fault_in_refine_round(self, text, extremum, error, message):
+        expr = parse(text)
+        extremum(expr, self.BOX, grid=3, refine_rounds=0)
+        with pytest.raises(error) as info:
+            extremum(expr, self.BOX, grid=3, refine_rounds=4)
+        assert type(info.value) is error and str(info.value) == message
+
+
+class TestLevelShortCircuit:
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """Log (extremum, equation, box) of every box extremum sampled on a problem."""
+        def install(problem):
+            calls = []
+            for name in ("box_sup", "box_inf"):
+                def counted(expr, box, *args, _name=name, _real=getattr(certify, name)):
+                    calls.append((_name, 1 if expr is problem.f[0] else 2, box))
+                    return _real(expr, box, *args)
+                monkeypatch.setattr(certify, name, counted)
+            return calls
+        return install
+
+    def test_I1_level_stops_at_equation_1(self, make_problem, watch):
+        problem = make_problem("1000", "0.1")
+        sampled = watch(problem)
+        with pytest.raises(ConditionFailed) as info:
+            check_pattern(problem, "S2", [1.0, 2.0])
+        assert (info.value.result.kind, info.value.result.equation) == ("I1", 1)
+        assert [call[:2] for call in sampled] == [("box_sup", 1)]
+
+    def test_I0_level_goes_to_the_starred_fallback(self, make_problem, watch):
+        problem = make_problem("0", "0")
+        sampled = watch(problem)
+        with pytest.raises(ConditionFailed) as info:
+            check_pattern(problem, "S1", [1.0, 1000.0])
+        assert (info.value.result.kind, info.value.result.equation) == ("I0", 1)
+        # equation 2 is sampled only on its starred box, which starts at v = 0
+        assert [call[:2] for call in sampled] == [("box_inf", 1), ("box_inf", 1), ("box_inf", 2)]
+        assert sampled[2][2].v_range[0] == 0.0
+
+    def test_second_equation_failing_samples_both(self, make_problem, watch):
+        problem = make_problem("0.1", "1000")
+        sampled = watch(problem)
+        with pytest.raises(ConditionFailed) as info:
+            check_pattern(problem, "S2", [1.0, 2.0])
+        assert info.value.result.equation == 2
+        assert [call[:2] for call in sampled] == [("box_sup", 1), ("box_sup", 2)]
+
+    def test_checks_still_return_both_results(self, make_problem, watch):
+        problem = make_problem("1000", "0")
+        sampled = watch(problem)
+        assert [res.holds for res in check_I1(problem, 1.0, 1.0)] == [False, True]
+        assert [res.holds for res in check_I0(problem, 1.0, 1.0)] == [True, False]
+        assert len(sampled) == 4
 
 
 class TestIndexConditions:

@@ -6,12 +6,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fraccert
 from conftest import CONFIG_DIR
 from fraccert.certify import Box3, ConditionFailed, check_nonexistence
 from fraccert.cli import (
@@ -448,6 +453,16 @@ class TestCertifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: ValueError: {err}\n"
 
+    def test_overflowing_box_width_exit_1(self, capsys):
+        # both u ends are finite, but u_hi - u_lo is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", REF, "--pattern", "NE1", "--box=-1e308,1e308,-1,1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: ValueError: box u_range = (-1e+308, 1e+308) "
+                                "is too wide: hi - lo overflows\n")
+
     def test_ladder_wrong_count_exit_1(self, capsys):
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "0.02,0.03,10"])
         assert rc == 1
@@ -862,6 +877,29 @@ class TestDispatch:
         rc = main(["certify", "--config", REF, "--pattern", "NE1", "--samples", "5000000"])
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["failure"]["kind"] == "NE1"
+
+    def test_unread_axes_are_never_built(self):
+        # f1 = 10 reads no variable, so NE1 builds the u axis alone: the
+        # run's peak RSS was 226 MB with all three 5e6-point axes built.
+        # VmHWM is the child's own peak; ru_maxrss would keep this process's.
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status")
+        code = ("import contextlib, io\n"
+                "from fraccert.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main(['certify', '--config', {REF!r}, '--pattern', 'NE1',"
+                " '--samples', '5000000'])\n"
+                f"print(rc, *[line.split()[1] for line in open({str(status)!r})"
+                " if line.startswith('VmHWM:')])\n")
+        src = str(Path(fraccert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, check=True, timeout=300)
+        rc, peak_kb = map(int, child.stdout.split())
+        assert rc == 2
+        assert peak_kb / 1024 < 180
 
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))
