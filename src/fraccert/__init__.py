@@ -6,7 +6,8 @@ the cone constants and threshold constants (m, M and their closed-form
 envelope estimates m_hat, M_hat), checks fixed-point-index conditions
 that certify existence, multiplicity or nonexistence of nontrivial
 solutions, and solves the equivalent integral system on a collocation
-grid by Picard iteration with Anderson mixing.
+grid by Picard iteration with Anderson mixing. Each nonlinearity is a
+parsed expression, and ``eval_exprs`` is its one evaluator.
 """
 
 from .certify import (Box3, Certificate, CertificateInvalid, ConditionFailed,
@@ -14,8 +15,7 @@ from .certify import (Box3, Certificate, CertificateInvalid, ConditionFailed,
                       PATTERNS, box_inf, box_sup, check_I0, check_I0_star,
                       check_I1, check_nonexistence, check_pattern,
                       revalidate_certificate, search_certificate)
-from .exprlang import (EvalError, Expr, ExprError, eval_expr, eval_expr_array,
-                       parse, pretty)
+from .exprlang import EvalError, Expr, ExprError, eval_exprs, parse, pretty
 from .kernel import (BoundReport, KernelBoundError, KernelModel, ParamError,
                      ProblemParams, build_model, compute_c, kernel_values,
                      phi_values, validate_params, verify_kernel_bounds)
@@ -66,8 +66,7 @@ __all__ = [
     "compute_hat_constants",
     "compute_m",
     "cone_metrics",
-    "eval_expr",
-    "eval_expr_array",
+    "eval_exprs",
     "interpolate_nodes",
     "kernel_values",
     "parse",

@@ -419,8 +419,9 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
     when the grid is exhausted; that outcome is normal, not an error.
     """
     kinds = _kinds(pattern)
-    if not (lo > 0.0 and hi > lo and points >= 2):
-        raise ValueError(f"need 0 < lo < hi and points >= 2, got {lo!r}, {hi!r}, {points!r}")
+    if not (lo > 0.0 and hi > lo and points >= 2 and math.isfinite(lo * (hi / lo))):
+        raise ValueError(f"need 0 < lo < hi and points >= 2 with the top grid point "
+                         f"lo * (hi/lo) finite, got lo={lo!r}, hi={hi!r}, points={points!r}")
     grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
     c_min = min(problem.c(1), problem.c(2))
     memo: dict[tuple[str, bool, float], tuple[ConditionResult, ...] | None] = {}

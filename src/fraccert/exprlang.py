@@ -10,13 +10,12 @@ negative base with a non-integer exponent) and overflow, found by the
 floating-point flags they raise inside one errstate block, raise typed
 EvalError subclasses carrying the byte offset of the offending token.
 
-Each parsed tree is compiled once, on its first evaluation, into nested
-closures over the ufunc table, paired with the set of variables it reads,
-and kept on the tree. The one evaluator, ``eval_exprs``, takes a tuple of
-trees, checks each input once, runs the trees in order in one errstate
-block and returns their values on the inputs' open grid, un-broadcast;
-``eval_expr_open`` is its one-tree case and ``eval_expr_array`` broadcasts
-that to the full shape. ``certify`` runs the code on axes it checked.
+A tree nests at most MAX_DEPTH levels (an operator, a function call or a
+pair of parentheses is one), so compiling and evaluating it fit the stack.
+A tree is compiled on its first evaluation into nested closures, paired
+with the set of variables it reads, and kept on the tree. ``eval_exprs``,
+the one evaluator, returns a tuple of trees' values on the inputs' open
+grid, un-broadcast; ``certify`` runs the code on axes it checked.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ __all__ = [
     "Unary",
     "Bin",
     "Call",
+    "MAX_DEPTH",
     "parse",
-    "eval_expr",
-    "eval_expr_array",
-    "eval_expr_open",
     "eval_exprs",
     "pretty",
 ]
@@ -142,6 +139,8 @@ _TOKEN = re.compile(
 # binding powers: + - (10) < * / (20) < unary - (30) < ^ (40, right-assoc)
 _BIN_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
+# the most levels a tree may nest; compiling and evaluating recurse once a level
+MAX_DEPTH = 200
 
 
 class _Tokens:
@@ -180,58 +179,69 @@ class _Tokens:
             raise ExprSyntaxError(f"expected {text!r}, found {shown!r}", pos)
 
 
-def _parse_prefix(ts: _Tokens) -> Expr:
+def _nest(depth: int, pos: int) -> int:
+    """The level below ``depth``, opened by the token at ``pos``."""
+    if depth >= MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+    return depth + 1
+
+
+def _parse_prefix(ts: _Tokens, depth: int) -> tuple[Expr, int]:
     kind, val, pos = ts.next()
     if kind == "num":
         value = float(val)
         if math.isinf(value):
             raise ExprSyntaxError(f"number {val!r} is out of range", pos)
-        return Num(value, pos)
+        return Num(value, pos), depth
     if kind == "ident":
         if ts.peek()[1] == "(":
             if val not in FUNCTIONS:
                 raise UnknownIdentifier(f"unknown function {val!r}", pos)
             ts.expect("(")
-            args = [_parse_expr(ts, 0)]
+            inner = _nest(depth, pos)
+            args = [_parse_expr(ts, 0, inner)]
             while ts.peek()[1] == ",":
                 ts.next()
-                args.append(_parse_expr(ts, 0))
+                args.append(_parse_expr(ts, 0, inner))
             ts.expect(")")
             if len(args) != FUNCTIONS[val]:
                 raise ArityError(
                     f"{val} takes {FUNCTIONS[val]} argument(s), got {len(args)}", pos
                 )
-            return Call(val, tuple(args), pos)
+            return Call(val, tuple(arg for arg, _ in args), pos), max(d for _, d in args)
         if val not in VARIABLES:
             raise UnknownIdentifier(f"unknown identifier {val!r}", pos)
-        return Var(val, pos)
+        return Var(val, pos), depth
     if val == "-":
-        return Unary("-", _parse_expr(ts, _UNARY_BP), pos)
+        operand, deepest = _parse_expr(ts, _UNARY_BP, _nest(depth, pos))
+        return Unary("-", operand, pos), deepest
     if val == "(":
-        inner = _parse_expr(ts, 0)
+        inner = _parse_expr(ts, 0, _nest(depth, pos))
         ts.expect(")")
         return inner
     shown = val if kind != "end" else "end of input"
     raise ExprSyntaxError(f"expected a value, found {shown!r}", pos)
 
 
-def _parse_expr(ts: _Tokens, min_bp: int) -> Expr:
-    left = _parse_prefix(ts)
+def _parse_expr(ts: _Tokens, min_bp: int, depth: int) -> tuple[Expr, int]:
+    """The expression at ``ts``, ``depth`` levels down, and its deepest leaf's level."""
+    left, deepest = _parse_prefix(ts, depth)
     while True:
         kind, val, pos = ts.peek()
         bp = _BIN_BP.get(val, -1) if kind == "op" else -1
         if bp < min_bp or bp == -1:
-            return left
+            return left, deepest
         ts.next()
+        deepest = _nest(deepest, pos)  # the new node pushes ``left`` a level down
         # right-associative power re-enters at its own binding power
-        right = _parse_expr(ts, bp if val == "^" else bp + 1)
-        left = Bin(val, left, right, pos)
+        right, right_deepest = _parse_expr(ts, bp if val == "^" else bp + 1, depth + 1)
+        left, deepest = Bin(val, left, right, pos), max(deepest, right_deepest)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ExprSyntaxError / UnknownIdentifier / ArityError."""
     ts = _Tokens(text)
-    expr = _parse_expr(ts, 0)
+    expr, _ = _parse_expr(ts, 0, 0)
     kind, val, pos = ts.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input starting with {val!r}", pos)
@@ -324,16 +334,6 @@ def _compiled(expr: Expr):
     return vars(expr).get("_code") or vars(expr).setdefault("_code", _compile(expr))
 
 
-def eval_expr(expr: Expr, t: float, u: float, v: float) -> float:
-    """Evaluate at a finite point; returns a finite float or raises an EvalError."""
-    return float(eval_expr_open(expr, t, u, v))
-
-
-def eval_expr_open(expr: Expr, t, u, v) -> np.ndarray:
-    """``eval_exprs`` of the one tree ``expr``: its value, un-broadcast."""
-    return eval_exprs((expr,), t, u, v)[0]
-
-
 def eval_exprs(exprs: tuple[Expr, ...], t, u, v) -> tuple[np.ndarray, ...]:
     """Evaluate trees on broadcastable numpy arrays without broadcasting.
 
@@ -353,12 +353,6 @@ def eval_exprs(exprs: tuple[Expr, ...], t, u, v) -> tuple[np.ndarray, ...]:
     codes = [_compiled(e)[0] for e in exprs]
     with np.errstate(all="raise", under="ignore"):
         return tuple([np.asarray(code(t, u, v)) for code in codes])
-
-
-def eval_expr_array(expr: Expr, t, u, v) -> np.ndarray:
-    """``eval_expr_open`` (same input rules and faults: any faulty sample
-    raises) as a read-only view broadcast to the inputs' full shape."""
-    return np.broadcast_to(eval_expr_open(expr, t, u, v), np.broadcast(t, u, v).shape)
 
 
 def _prec(node: Expr) -> int:

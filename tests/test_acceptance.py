@@ -24,7 +24,7 @@ from fraccert.certify import (
     revalidate_certificate,
 )
 from fraccert.cli import main
-from fraccert.exprlang import eval_expr, parse
+from fraccert.exprlang import eval_exprs, parse
 from fraccert.kernel import build_model, check_params, validate_params, verify_kernel_bounds
 from fraccert.solver import build_grid, solve_picard
 from test_certify import S3_F1, S3_F2, S6_F1, S6_F2
@@ -167,12 +167,12 @@ def test_criterion_5_extremum_oracle():
 
 def test_criterion_6_parser_golden():
     for text, (t, u, v), expected in EVAL_CASES:
-        got = eval_expr(parse(text), t, u, v)
+        (got,) = eval_exprs((parse(text),), t, u, v)
         assert got == pytest.approx(expected, rel=1e-15, abs=1e-15), text
     for text, point, exc, offset in ERROR_CASES:
         with pytest.raises(exc) as info:
             expr = parse(text)
             if point is not None:
-                eval_expr(expr, *point)
+                eval_exprs((expr,), *point)
         assert info.value.position == offset, text
     assert len(EVAL_CASES) + len(ERROR_CASES) == 25

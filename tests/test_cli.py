@@ -27,8 +27,10 @@ from fraccert.cli import (
     load_config,
     main,
 )
+from fraccert.exprlang import MAX_DEPTH
 from fraccert.kernel import kernel_values
 from fraccert.solver import build_grid
+from test_exprlang import NESTED_SHAPES, nested
 
 REF = str(CONFIG_DIR / "reference.json")
 NE_CFG = str(CONFIG_DIR / "nonexistence.json")
@@ -262,6 +264,31 @@ class TestSchemaMessages:
             "config rejected:\n  /equations/0/alpha: must be a finite number\n")
 
 
+def _nested_run(tmp_path, shape, levels, command):
+    """Run ``command`` on the reference config with f1 nested ``levels`` deep."""
+    cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1=nested(shape, levels)[0]))
+    flags = {"constants": [], "certify": ["--pattern", "S1", "--ladder", "0.02,10"],
+             "solve": ["--grid", "16", "--out", str(tmp_path / "sol.csv")]}[command]
+    return main([command, "--config", cfg, *flags])
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("command", ["constants", "certify", "solve"])
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_at_the_limit_runs(self, tmp_path, capsys, shape, command):
+        assert _nested_run(tmp_path, shape, MAX_DEPTH, command) in (0, 2)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["constants", "certify", "solve"])
+    @pytest.mark.parametrize("shape", NESTED_SHAPES)
+    def test_one_past_the_limit_exit_1(self, tmp_path, capsys, shape, command):
+        assert _nested_run(tmp_path, shape, MAX_DEPTH + 1, command) == 1
+        offset = nested(shape, MAX_DEPTH + 1)[1]
+        assert capsys.readouterr().err == (
+            f"config rejected:\n  /nonlinearities/f1: expression nests deeper than "
+            f"{MAX_DEPTH} levels (at offset {offset})\n")
+
+
 class TestDumpsReport:
     def test_frozen_rendering(self):
         report = {"b": 1.0, "a": [1, 2.5, "x"], "c": {"nested": True, "empty": {}},
@@ -474,6 +501,17 @@ class TestCertifyCommand:
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--search", "0.1:10"])
         assert rc == 1
         assert capsys.readouterr().err == "error: ValueError: --search expects lo:hi:points\n"
+
+    @pytest.mark.parametrize("search", ["1:inf:3", "1e-300:1e300:5",
+                                        "3:1.7976931348623157e308:3"])
+    def test_search_grid_must_be_finite(self, capsys, search):
+        # an infinite or overflowing grid point is named by lo and hi, not by a box
+        rc = main(["certify", "--config", REF, "--pattern", "S1", "--search", search])
+        lo, hi, points = search.split(":")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: need 0 < lo < hi and points >= 2 with the top grid point "
+            f"lo * (hi/lo) finite, got lo={float(lo)!r}, hi={float(hi)!r}, points={points}\n")
 
     def test_nonexistence_default_box(self, capsys):
         rc = main(["certify", "--config", NE_CFG, "--pattern", "NE1"])

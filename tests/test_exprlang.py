@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import importlib
+import inspect
 import itertools
 import math
 import pickle
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraccert
 from _golden import ERROR_CASES, EVAL_CASES
+from fraccert import exprlang
 from fraccert.certify import Box3, box_inf
 from fraccert.exprlang import (
+    MAX_DEPTH,
     ArityError,
     Bin,
     Call,
@@ -27,18 +32,21 @@ from fraccert.exprlang import (
     Unary,
     UnknownIdentifier,
     Var,
-    eval_expr,
-    eval_expr_array,
-    eval_expr_open,
+    eval_exprs,
     parse,
     pretty,
 )
 
 
+def evaluate(expr, t, u, v):
+    """``eval_exprs`` of the one tree ``expr``: its value, un-broadcast."""
+    return eval_exprs((expr,), t, u, v)[0]
+
+
 class TestGolden:
     @pytest.mark.parametrize("text, point, expected", EVAL_CASES)
     def test_eval(self, text, point, expected):
-        assert eval_expr(parse(text), *point) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+        assert evaluate(parse(text), *point) == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("text, point, err, offset", ERROR_CASES)
     def test_faults_with_positions(self, text, point, err, offset):
@@ -48,23 +56,23 @@ class TestGolden:
         else:
             expr = parse(text)
             with pytest.raises(err) as info:
-                eval_expr(expr, *point)
+                evaluate(expr, *point)
         assert info.value.position == offset
         assert f"offset {offset}" in str(info.value)
 
 
 class TestParsing:
     def test_number_forms(self):
-        assert eval_expr(parse(".5 + 2."), 0, 0, 0) == 2.5
-        assert eval_expr(parse("1e3"), 0, 0, 0) == 1000.0
-        assert eval_expr(parse("1.5E-2"), 0, 0, 0) == 0.015
+        assert evaluate(parse(".5 + 2."), 0, 0, 0) == 2.5
+        assert evaluate(parse("1e3"), 0, 0, 0) == 1000.0
+        assert evaluate(parse("1.5E-2"), 0, 0, 0) == 0.015
 
     def test_whitespace(self):
-        assert eval_expr(parse("  1 +  2  "), 0, 0, 0) == 3.0
+        assert evaluate(parse("  1 +  2  "), 0, 0, 0) == 3.0
 
     def test_variables(self):
         assert parse("t") == Var("t")
-        assert eval_expr(parse("v"), 0.0, 0.0, -2.5) == -2.5
+        assert evaluate(parse("v"), 0.0, 0.0, -2.5) == -2.5
 
     @pytest.mark.parametrize(
         "text, err",
@@ -101,8 +109,55 @@ class TestParsing:
         assert "out of range" in str(info.value)
 
     def test_extreme_finite_literals(self):
-        assert eval_expr(parse("1.7976931348623157e308"), 0, 0, 0) == np.finfo(float).max
-        assert eval_expr(parse("1e-400"), 0, 0, 0) == 0.0  # underflow is not a fault
+        assert evaluate(parse("1.7976931348623157e308"), 0, 0, 0) == np.finfo(float).max
+        assert evaluate(parse("1e-400"), 0, 0, 0) == 0.0  # underflow is not a fault
+
+
+def nested(shape, levels):
+    """A text of ``shape`` that nests ``levels`` levels, and the offset of the
+    token that opens its last level."""
+    if shape == "parentheses":
+        return "(" * levels + "1" + ")" * levels, levels - 1
+    if shape == "unary-minus":
+        return "-" * levels + "1", levels - 1
+    if shape == "call":
+        return "abs(" * levels + "1" + ")" * levels, 4 * (levels - 1)
+    op = {"power-chain": "^", "flat-sum": "+"}[shape]
+    return op.join(["1"] * (levels + 1)), 2 * levels - 1
+
+
+NESTED_SHAPES = ("parentheses", "unary-minus", "power-chain", "flat-sum")
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", NESTED_SHAPES + ("call",))
+    def test_at_the_limit(self, shape):
+        text, _ = nested(shape, MAX_DEPTH)
+        expr = parse(text)
+        grid = np.ix_(_T_AXIS, _U_AXIS, _V_AXIS)
+        assert np.all(np.abs(evaluate(expr, *grid)) >= 1.0)
+        assert parse(pretty(expr)) == expr
+        assert pickle.loads(pickle.dumps(expr)) == expr
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 10_000])
+    @pytest.mark.parametrize("shape", NESTED_SHAPES + ("call",))
+    def test_past_the_limit(self, shape, levels):
+        # rejected where level MAX_DEPTH + 1 opens, however deep the text goes
+        text, _ = nested(shape, levels)
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert info.value.position == nested(shape, MAX_DEPTH + 1)[1]
+        assert f"nests deeper than {MAX_DEPTH} levels" in str(info.value)
+
+    @pytest.mark.parametrize("text, levels", [
+        ("u", 0), ("(u)", 1), ("u + v", 1), ("1 + 2 + 3", 2), ("-u^2", 2), ("2^3^4", 2),
+        ("min(u, (v))", 2), ("((1 + 2) * 3)", 4),
+    ])
+    def test_levels_counted(self, text, levels):
+        # each operator, function call and pair of parentheses is a level
+        parse("(" * (MAX_DEPTH - levels) + text + ")" * (MAX_DEPTH - levels))
+        with pytest.raises(ExprSyntaxError):
+            parse("(" * (MAX_DEPTH - levels + 1) + text + ")" * (MAX_DEPTH - levels + 1))
 
 
 class TestEvaluation:
@@ -119,18 +174,18 @@ class TestEvaluation:
     )
     def test_faults(self, text, err):
         with pytest.raises(err):
-            eval_expr(parse(text), 0.0, 0.0, 0.0)
+            evaluate(parse(text), 0.0, 0.0, 0.0)
 
     def test_eval_error_is_arithmetic(self):
         with pytest.raises(EvalError):
-            eval_expr(parse("1/0"), 0.0, 0.0, 0.0)
+            evaluate(parse("1/0"), 0.0, 0.0, 0.0)
         assert issubclass(DivisionByZero, ArithmeticError)
 
     def test_negative_base_integer_exponent(self):
-        assert eval_expr(parse("(-2)^3"), 0, 0, 0) == -8.0
-        assert eval_expr(parse("(-2)^-2"), 0, 0, 0) == 0.25
+        assert evaluate(parse("(-2)^3"), 0, 0, 0) == -8.0
+        assert evaluate(parse("(-2)^-2"), 0, 0, 0) == 0.25
         with pytest.raises(DomainError):
-            eval_expr(parse("(-8)^(1/3)"), 0.0, 0.0, 0.0)
+            evaluate(parse("(-8)^(1/3)"), 0.0, 0.0, 0.0)
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(99)
@@ -139,21 +194,13 @@ class TestEvaluation:
         v = rng.uniform(-3.0, 3.0, 40)
         for text, _, _ in (case for case in EVAL_CASES if "u" in case[0] or "t" in case[0]):
             expr = parse(text)
-            arr = eval_expr_array(expr, t, u, v)
+            arr = np.broadcast_to(evaluate(expr, t, u, v), t.shape)
             for j in range(t.size):
-                assert arr[j] == eval_expr(expr, float(t[j]), float(u[j]), float(v[j]))
-
-    def test_array_broadcast_shapes(self):
-        expr = parse("1 + 0*u")
-        out = eval_expr_array(expr, 0.0, np.zeros((3, 2)), 0.0)
-        assert out.shape == (3, 2)
-        assert np.all(out == 1.0)
-        const = eval_expr_array(parse("7"), np.zeros((4,)), 0.0, 0.0)
-        assert const.shape == (4,) and np.all(const == 7.0)
+                assert arr[j] == evaluate(expr, float(t[j]), float(u[j]), float(v[j]))
 
     def test_array_fault(self):
         with pytest.raises(DivisionByZero):
-            eval_expr_array(parse("1/u"), 0.0, np.array([1.0, 0.0, 2.0]), 0.0)
+            evaluate(parse("1/u"), 0.0, np.array([1.0, 0.0, 2.0]), 0.0)
 
 
 class TestPretty:
@@ -210,7 +257,7 @@ class TestProperties:
     @given(_trees)
     def test_pretty_preserves_value(self, tree):
         point = (0.37, -1.25, 2.5)
-        assert eval_expr(parse(pretty(tree)), *point) == eval_expr(tree, *point)
+        assert evaluate(parse(pretty(tree)), *point) == evaluate(tree, *point)
 
 
 # Workload-sized axes of unequal lengths, so a transposed axis shows; u
@@ -240,9 +287,10 @@ def _variables(node):
 
 
 def _both_grids(expr, t, u, v):
-    """Evaluate on the open grid and on the materialised mesh of the same axes."""
-    return (eval_expr_array(expr, *np.ix_(t, u, v)),
-            eval_expr_array(expr, *np.meshgrid(t, u, v, indexing="ij")))
+    """Evaluate on the open grid and on the materialised mesh of the same axes,
+    each value broadcast to the mesh's shape."""
+    return tuple(np.broadcast_to(evaluate(expr, *grid), (t.size, u.size, v.size))
+                 for grid in (np.ix_(t, u, v), np.meshgrid(t, u, v, indexing="ij")))
 
 
 class TestOpenGrid:
@@ -250,13 +298,11 @@ class TestOpenGrid:
     @given(_trees)
     def test_random_trees_match_mesh(self, tree):
         open_vals, mesh_vals = _both_grids(tree, _T_AXIS, _U_AXIS, _V_AXIS)
-        assert open_vals.shape == (33, 34, 35)
         assert np.array_equal(open_vals, mesh_vals)
 
     @pytest.mark.parametrize("text", _MIXED)
     def test_mixed_expressions_match_mesh(self, text):
         open_vals, mesh_vals = _both_grids(parse(text), _T_AXIS, _U_AXIS, _V_AXIS)
-        assert open_vals.shape == (33, 34, 35)
         assert np.array_equal(open_vals, mesh_vals)
 
     @pytest.mark.parametrize(
@@ -277,20 +323,18 @@ class TestOpenGrid:
         axes = (np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 3.0, 5), np.linspace(-1.0, 1.0, 3))
         expr = parse(text)
         with pytest.raises(err) as on_open:
-            eval_expr_array(expr, *np.ix_(*axes))
+            evaluate(expr, *np.ix_(*axes))
         with pytest.raises(err) as on_mesh:
-            eval_expr_array(expr, *np.meshgrid(*axes, indexing="ij"))
+            evaluate(expr, *np.meshgrid(*axes, indexing="ij"))
         assert type(on_open.value) is type(on_mesh.value)
         assert on_open.value.position == on_mesh.value.position
 
     def test_empty_axis_does_not_fault(self):
         # the grid has no samples, so the 0 on the u axis is never evaluated
         expr = parse("1/u")
-        out = eval_expr_array(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
+        out = evaluate(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
         assert out.shape == (0, 1, 1)
-        assert eval_expr_array(expr, np.empty(0), 0.0, 0.0).shape == (0,)
-        out = eval_expr_open(expr, *np.ix_(np.empty(0), np.array([0.0]), np.array([1.0])))
-        assert out.shape == (0, 1, 1)
+        assert evaluate(expr, np.empty(0), 0.0, 0.0).shape == (0,)
 
     def test_axes_past_the_intp_range(self):
         # (2^21 + 1)^3 samples are more than numpy can give a shape; the
@@ -300,7 +344,7 @@ class TestOpenGrid:
                    ((0.5, (n, 1, 1)), (2.0, (1, n, 1)), (1.0, (1, 1, n))))
         with pytest.raises(ValueError):
             np.broadcast(t, u, v)
-        out = eval_expr_open(parse("3*u"), t, u, v)
+        out = evaluate(parse("3*u"), t, u, v)
         assert out.shape == (1, n, 1) and np.all(out == 6.0)
 
     @settings(max_examples=80, deadline=None)
@@ -309,11 +353,10 @@ class TestOpenGrid:
         # length 1 exactly along the axes of variables the tree never reads
         used = _variables(tree)
         grid = np.ix_(_T_AXIS, _U_AXIS, _V_AXIS)
-        res = eval_expr_open(tree, *grid)
+        res = evaluate(tree, *grid)
         lengths = {"t": 33, "u": 34, "v": 35}
         want = tuple(lengths[name] if name in used else 1 for name in "tuv") if used else ()
         assert res.shape == want
-        assert np.array_equal(np.broadcast_to(res, (33, 34, 35)), eval_expr_array(tree, *grid))
 
 
 # The checked walker the flag-based evaluator replaced, kept as the parity
@@ -378,12 +421,11 @@ def _evaluate(node, t, u, v):
 
 
 def scanned_eval(expr, t, u, v):
-    """The reference evaluation; its overflows run silently into the scans."""
+    """The reference evaluation, un-broadcast; its overflows run silently into
+    the scans."""
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
-    shape = np.broadcast(t, u, v).shape
     with np.errstate(all="ignore"):
-        res = _check_finite(_evaluate(expr, t, u, v), expr.pos, "expression")
-    return np.broadcast_to(res, shape)
+        return np.asarray(_check_finite(_evaluate(expr, t, u, v), expr.pos, "expression"))
 
 
 def _outcome(evaluate, expr, inputs):
@@ -452,7 +494,7 @@ class TestFlagParity:
     @given(_fault_trees, _inputs)
     def test_matches_scanned_walker(self, tree, inputs):
         # same bits on success; same fault class, offset and message otherwise
-        assert _outcome(eval_expr_array, tree, inputs) == _outcome(scanned_eval, tree, inputs)
+        assert _outcome(evaluate, tree, inputs) == _outcome(scanned_eval, tree, inputs)
 
     @pytest.mark.parametrize("text, u, expected", [
         ("1/u", -0.0, DivisionByZero),  # divide-by-zero flag
@@ -468,7 +510,7 @@ class TestFlagParity:
     ])
     def test_flag_routes(self, text, u, expected):
         expr = parse(text)
-        got = _outcome(eval_expr_array, expr, (0.0, u, 0.0))
+        got = _outcome(evaluate, expr, (0.0, u, 0.0))
         assert got == _outcome(scanned_eval, expr, (0.0, u, 0.0))
         assert got[0] == expected
 
@@ -476,11 +518,9 @@ class TestFlagParity:
     def test_non_finite_input_rejected(self, bad):
         # the scans blamed offset 1 for 2*u + 1 at u = nan; no node is to blame
         with pytest.raises(ValueError, match="must be finite"):
-            eval_expr(parse("2*u + 1"), 0.0, bad, 0.0)
+            evaluate(parse("2*u + 1"), 0.0, bad, 0.0)
         with pytest.raises(ValueError, match="must be finite"):
-            eval_expr_array(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
-        with pytest.raises(ValueError, match="must be finite"):
-            eval_expr_open(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
+            evaluate(parse("t"), np.array([0.0, 1.0]), np.array([1.0, bad]), 0.0)
 
     @pytest.mark.parametrize("text, hex_bits", [
         ("(-0)^3", "0x0.0p+0"),  # np.power would give -0.0
@@ -488,7 +528,7 @@ class TestFlagParity:
     ])
     def test_power_keeps_scanned_bits(self, text, hex_bits):
         expr = parse(text)
-        value = eval_expr(expr, 0.0, 0.0, 0.0)
+        value = float(evaluate(expr, 0.0, 0.0, 0.0))
         assert value.hex() == hex_bits
         assert np.float64(value).tobytes() == scanned_eval(expr, 0.0, 0.0, 0.0).tobytes()
 
@@ -502,12 +542,12 @@ class TestCompiledCode:
             assert trees[0] == trees[1] and hash(trees[0]) == hash(trees[1])
             for expr, text in zip(trees, texts):
                 with pytest.raises(DivisionByZero) as info:
-                    eval_expr(expr, 0.0, 0.0, 0.0)
+                    evaluate(expr, 0.0, 0.0, 0.0)
                 assert info.value.position == text.index("/")
 
     def test_code_dies_with_its_tree(self):
         expr = parse("2*u + sin(v)")
-        assert eval_expr(expr, 0.0, 1.0, 0.0) == 2.0
+        assert evaluate(expr, 0.0, 1.0, 0.0) == 2.0
         ref = weakref.ref(expr)
         del expr
         gc.collect()
@@ -516,11 +556,11 @@ class TestCompiledCode:
     def test_evaluated_tree_pickles(self):
         # the compiled closures stay behind; the copy compiles its own
         expr = parse(" 1/u")
-        assert eval_expr(expr, 0.0, 2.0, 0.0) == 0.5
+        assert evaluate(expr, 0.0, 2.0, 0.0) == 0.5
         clone = pickle.loads(pickle.dumps(expr))
         assert clone == expr and "_code" not in vars(clone)
         with pytest.raises(DivisionByZero) as info:
-            eval_expr(clone, 0.0, 0.0, 0.0)
+            evaluate(clone, 0.0, 0.0, 0.0)
         assert info.value.position == 2
 
 
@@ -533,7 +573,8 @@ def argmin_reference(text, box, n=21):
     """First minimum of the expression on the full n^3 meshgrid (degenerate
     axes repeat their point n times)."""
     axes = [np.linspace(lo, hi, n) for lo, hi in (box.t_range, box.u_range, box.v_range)]
-    vals = eval_expr_array(parse(text), *np.meshgrid(*axes, indexing="ij"))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = np.broadcast_to(evaluate(parse(text), *mesh), mesh[0].shape)
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx))
 
@@ -567,3 +608,24 @@ class TestNonnegativity:
     def test_matches_argmin_reference(self, box, text):
         rep = nonneg_check(text, box)
         assert (rep.value, rep.location) == argmin_reference(text, box)
+
+
+_MODULES = ("certify", "cli", "exprlang", "kernel", "problem", "quadrature", "solver")
+
+
+class TestExports:
+    def test_all_names_resolve(self):
+        for mod in (fraccert, *(importlib.import_module(f"fraccert.{m}") for m in _MODULES)):
+            assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
+            for name in mod.__all__:
+                assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+    def test_package_exports_what_it_imports(self):
+        imported = {name for name, obj in vars(fraccert).items()
+                    if not name.startswith("_") and not inspect.ismodule(obj)}
+        assert set(fraccert.__all__) == imported
+
+    def test_eval_exprs_is_the_one_evaluator(self):
+        assert fraccert.eval_exprs is exprlang.eval_exprs
+        for mod in (fraccert, exprlang):
+            assert [name for name in dir(mod) if name.startswith("eval")] == ["eval_exprs"]
