@@ -29,11 +29,14 @@ expression is evaluated un-broadcast and its extremum is taken there.
 Only the axes the expression reads are built; an unread axis is its first
 point, where the full grid's first maximum lies, and ``samples`` still
 counts the full grid. A ladder level checks its equations in order and
-stops at the first that fails (``check_I1`` and ``check_I0`` return both).
+stops at the first that fails (``check_I1`` and ``check_I0`` return both);
+so does each assignment a nonexistence check tries, so a growth ratio
+past the first failure is never sampled and cannot overflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -424,16 +427,13 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
                          f"lo * (hi/lo) finite, got lo={lo!r}, hi={hi!r}, points={points!r}")
     grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
     c_min = min(problem.c(1), problem.c(2))
-    memo: dict[tuple[str, bool, float], tuple[ConditionResult, ...] | None] = {}
 
+    @functools.cache  # a level's outcome at one radius, held or failed (None)
     def level_results(kind: str, star_allowed: bool, r: float):
-        key = (kind, star_allowed, r)
-        if key not in memo:
-            try:
-                memo[key] = _eval_level(problem, kind, (r, r), star_allowed)
-            except ConditionFailed:
-                memo[key] = None
-        return memo[key]
+        try:
+            return _eval_level(problem, kind, (r, r), star_allowed)
+        except ConditionFailed:
+            return None
 
     def extend(level: int, prefix: list[float], conds: list[ConditionResult]):
         if level == len(kinds):
@@ -528,13 +528,15 @@ def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -
     if n < 3:
         raise ValueError(f"need n >= 3 samples per axis, got {n}")
     for kinds in _NE_VARIANTS[variant]:
-        conditions = tuple(_ne_condition(problem, kind, i, box, n)
-                           for i, kind in enumerate(kinds, 1))
-        failed = next((cond for cond in conditions if not cond.holds), None)
-        if failed is None:
+        conditions = ()
+        for i, kind in enumerate(kinds, 1):  # stop at the first equation that fails
+            conditions += (_ne_condition(problem, kind, i, box, n),)
+            if not conditions[-1].holds:
+                break
+        else:
             break
     else:
-        raise ConditionFailed(failed)
+        raise ConditionFailed(conditions[-1])
     scope = "growth conditions verified on sampled points of that box only"
     if any(cond.kind == "NE1" for cond in conditions):
         scope += f"; a slab |w_i| < {NE_EXCLUSION:g} * scale is excluded near w_i = 0"

@@ -185,30 +185,21 @@ def _encode(obj, indent: int, out: list[str]) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        keys = sorted(obj) if keyed else range(len(obj))
+        brackets = "{}" if keyed else "[]"
+        if not keys:
+            out.append(brackets)
             return
-        out.append("{\n")
-        keys = sorted(obj)
+        out.append(brackets[0] + "\n")
         for pos, key in enumerate(keys):
-            if not isinstance(key, str):
+            if keyed and not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(f"{pad}  {json.dumps(key)}: ")
+            out.append(f"{pad}  {json.dumps(key)}: " if keyed else pad + "  ")
             _encode(obj[key], indent + 1, out)
             out.append(",\n" if pos < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for pos, item in enumerate(seq):
-            out.append(pad + "  ")
-            _encode(item, indent + 1, out)
-            out.append(",\n" if pos < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 

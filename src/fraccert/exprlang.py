@@ -2,7 +2,8 @@
 
 Variables: t, u, v. Operators: + - * / ^ (power, right-associative) and
 unary minus, with precedence ^ > unary- > * / > + -. Functions: abs, sqrt,
-exp, log, sin, cos (unary) and min, max (binary).
+exp, log, sin, cos (unary) and min, max (binary). Unary minus compiles as
+the one-operand function "neg", so every operation node compiles alike.
 
 Literals and inputs must be finite; evaluation then never returns a
 non-finite number: division by zero, domain faults (sqrt/log of a negative,
@@ -85,10 +86,14 @@ class Overflow(EvalError):
 
 
 class _Node:
-    """Base of the tree nodes: pickles and copies leave out the compiled code."""
+    """Base of the tree nodes: pickles and shallow copies leave out the compiled
+    code; a deep copy is the tree itself, which is frozen, code and all."""
 
     def __getstate__(self):
         return {key: val for key, val in vars(self).items() if key != "_code"}
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass(frozen=True)
@@ -150,17 +155,13 @@ class _Tokens:
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
+            if m is None:
                 at = pos + len(text[pos:]) - len(text[pos:].lstrip())
                 if at >= len(text):
                     break
                 raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-            pos = m.end()
-            for kind in ("num", "ident", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.toks.append((kind, val, m.start(kind)))
-                    break
+            pos = m.end()  # every alternative of _TOKEN consumes a character
+            self.toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         self.toks.append(("end", "", len(text)))
         self.i = 0
 
@@ -248,9 +249,9 @@ def parse(text: str) -> Expr:
     return expr
 
 
-# The ufunc each node applies; "^" is _power and unary minus np.negative.
+# The ufunc each node applies; "^" is _power. Unary minus is the one-operand "neg".
 _UFUNCS = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
     "abs": np.absolute, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
     "sin": np.sin, "cos": np.cos, "min": np.minimum, "max": np.maximum,
 }
@@ -293,9 +294,8 @@ def _compile(node: Expr):
     if isinstance(node, Var):
         return _VAR_CODE[node.name], frozenset((node.name,))
     if isinstance(node, Unary):
-        operand, reads = _compile(node.operand)
-        return (lambda t, u, v: np.negative(operand(t, u, v))), reads
-    if isinstance(node, Bin):
+        op, children = "neg", (node.operand,)
+    elif isinstance(node, Bin):
         op, children = node.op, (node.left, node.right)
     else:
         op, children = node.fn, node.args
@@ -363,6 +363,13 @@ def _prec(node: Expr) -> int:
     return 100
 
 
+def _operand(node: Expr, bp: int, tie: bool) -> str:
+    """``node`` rendered under an operator of binding power ``bp``: in parentheses
+    if it binds looser, or (``tie``) as tightly."""
+    text = pretty(node)
+    return f"({text})" if _prec(node) < bp or (tie and _prec(node) == bp) else text
+
+
 def pretty(expr: Expr) -> str:
     """Render an expression; parse(pretty(e)) is structurally equal to e."""
     if isinstance(expr, Num):
@@ -370,24 +377,11 @@ def pretty(expr: Expr) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Unary):
-        inner = pretty(expr.operand)
-        if _prec(expr.operand) < _UNARY_BP:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{_operand(expr.operand, _UNARY_BP, False)}"
     if isinstance(expr, Bin):
-        lhs, rhs = pretty(expr.left), pretty(expr.right)
-        bp = _BIN_BP[expr.op]
-        # left child needs parens below bp; right child at-or-below (left-assoc),
-        # power is the mirror image (right-assoc)
-        if expr.op == "^":
-            if _prec(expr.left) <= bp:
-                lhs = f"({lhs})"
-            if _prec(expr.right) < bp:
-                rhs = f"({rhs})"
-        else:
-            if _prec(expr.left) < bp:
-                lhs = f"({lhs})"
-            if _prec(expr.right) <= bp:
-                rhs = f"({rhs})"
-        return f"{lhs} {expr.op} {rhs}"
+        # an operand binding as tightly as the operator needs parentheses on the
+        # side the operator does not associate to: the left for ^, else the right
+        bp, right_assoc = _BIN_BP[expr.op], expr.op == "^"
+        return (f"{_operand(expr.left, bp, right_assoc)} {expr.op} "
+                f"{_operand(expr.right, bp, not right_assoc)}")
     return f"{expr.fn}({', '.join(pretty(a) for a in expr.args)})"

@@ -243,12 +243,10 @@ def verify_kernel_bounds(model: KernelModel) -> BoundReport:
     A passing report proves nothing between the sample points.
     """
     p = model.params
-    e = p.alpha - 1.0
     s = np.linspace(0.0, 1.0, GRID)
     phi = phi_values(p, s)
-    phi_env = phi.copy()
-    phi_env[np.isclose(s, p.eta, rtol=0.0, atol=1e-13)] = max(
-        p.beta, (1.0 - p.eta) ** e / model.gamma_alpha - p.beta)
+    phi_env = phi.copy()  # phi[-1] is Phi's (eta, 1] branch, as s = 1 > eta
+    phi_env[np.isclose(s, p.eta, rtol=0.0, atol=1e-13)] = max(p.beta, phi[-1])
     t = np.linspace(0.0, 1.0, GRID)
     env = _worst(np.abs(kernel_values(p, t[:, None], s)) - phi_env, t, s)
     t = np.linspace(0.0, p.b, GRID)

@@ -388,6 +388,54 @@ class TestLevelShortCircuit:
         assert len(sampled) == 4
 
 
+class TestNonexistenceShortCircuit:
+    BOX = Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0))
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """Log (kind, equation) of every nonexistence condition sampled."""
+        calls = []
+
+        def counted(problem, kind, i, box, n, _real=certify._ne_condition):
+            calls.append((kind, i))
+            return _real(problem, kind, i, box, n)
+        monkeypatch.setattr(certify, "_ne_condition", counted)
+        return calls
+
+    def test_stops_at_equation_1(self, make_problem, sampled):
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(make_problem("2*abs(u)", "0.5*abs(v)"), 1, self.BOX)
+        assert (info.value.result.kind, info.value.result.equation) == ("NE1", 1)
+        assert sampled == [("NE1", 1)]
+
+    def test_second_equation_failing_samples_both(self, make_problem, sampled):
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(make_problem("0.6*abs(u)", "2*abs(v)"), 1, self.BOX)
+        assert info.value.result.equation == 2
+        assert sampled == [("NE1", 1), ("NE1", 2)]
+
+    def test_each_assignment_stops_at_its_first_failure(self, make_problem, sampled):
+        # 10*|u| fails both NE1 (above m_1) and NE2 (below M_1) for equation 1
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(make_problem("10*abs(u)", "0.5*abs(v)"), 3, self.BOX)
+        assert (info.value.result.kind, info.value.result.equation) == ("NE2", 1)
+        assert sampled == [("NE1", 1), ("NE2", 1)]
+
+    def test_holding_assignment_samples_both(self, make_problem, sampled):
+        cert = check_nonexistence(make_problem("200*u", "0.9*abs(v)"), 3, self.BOX)
+        assert [(c.kind, c.equation) for c in cert.conditions] == [("NE2", 1), ("NE1", 2)]
+        assert sampled == [("NE1", 1), ("NE2", 1), ("NE1", 2)]
+
+    def test_failure_comes_before_an_overflow_in_equation_2(self, make_problem):
+        # equation 2's ratio 1e306/|v| would overflow, but equation 1 fails first
+        box = Box3((0.0, 1.0), (-10.0, 10.0), (-1e-3, 1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditionFailed) as info:
+                check_nonexistence(make_problem("100*abs(u)", "1e306"), 1, box)
+        assert (info.value.result.kind, info.value.result.equation) == ("NE1", 1)
+
+
 class TestIndexConditions:
     def test_I1_small_constant_holds(self, make_problem):
         res1, res2 = check_I1(make_problem("0.1", "0.1"), 1.0, 1.0)

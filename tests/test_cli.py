@@ -292,7 +292,7 @@ class TestNestingDepth:
 class TestDumpsReport:
     def test_frozen_rendering(self):
         report = {"b": 1.0, "a": [1, 2.5, "x"], "c": {"nested": True, "empty": {}},
-                  "n": None}
+                  "n": None, "p": (0.5, [], False)}
         expected = (
             '{\n'
             '  "a": [\n'
@@ -305,7 +305,12 @@ class TestDumpsReport:
             '    "empty": {},\n'
             '    "nested": true\n'
             '  },\n'
-            '  "n": null\n'
+            '  "n": null,\n'
+            '  "p": [\n'
+            '    0.5,\n'
+            '    [],\n'
+            '    false\n'
+            '  ]\n'
             '}\n'
         )
         assert dumps_report(report) == expected
@@ -318,9 +323,9 @@ class TestDumpsReport:
     def test_rejects_unserializable(self):
         with pytest.raises(ValueError):
             dumps_report({"x": math.inf})
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^report keys must be strings, got 1$"):
             dumps_report({1: 2})
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^cannot serialize set into a report$"):
             dumps_report({"x": {3, 4}})
 
 
@@ -479,6 +484,16 @@ class TestCertifyCommand:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error: ValueError: {err}\n"
+
+    def test_nonexistence_failure_before_overflow_exit_2(self, tmp_path, capsys):
+        # equation 1 fails NE1, so equation 2's overflowing ratio 1e306/|v| is never sampled
+        cfg = write_config(
+            tmp_path, lambda c: c["nonlinearities"].update(f1="100*abs(u)", f2="1e306"))
+        rc = main(["certify", "--config", cfg, "--pattern", "NE1", "--box=-10,10,-0.001,0.001"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "condition NE1 failed for equation 1" in captured.err
+        assert "overflows" not in captured.err
 
     def test_overflowing_box_width_exit_1(self, capsys):
         # both u ends are finite, but u_hi - u_lo is not

@@ -1,5 +1,6 @@
 """Expression parsing, evaluation, rendering and sampled sign checks."""
 
+import copy
 import dataclasses
 import gc
 import importlib
@@ -138,6 +139,16 @@ class TestDepthLimit:
         assert np.all(np.abs(evaluate(expr, *grid)) >= 1.0)
         assert parse(pretty(expr)) == expr
         assert pickle.loads(pickle.dumps(expr)) == expr
+
+    @pytest.mark.parametrize("shape", NESTED_SHAPES + ("call",))
+    def test_deep_copy_at_the_limit(self, shape):
+        expr = parse(nested(shape, MAX_DEPTH)[0])
+        assert copy.deepcopy(expr) == expr
+
+    def test_deep_copy_of_a_problem_at_the_limit(self, make_problem):
+        text = "min(u, " * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+        problem = make_problem(nested("call", MAX_DEPTH)[0], text)
+        assert copy.deepcopy(problem) == problem
 
     @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 10_000])
     @pytest.mark.parametrize("shape", NESTED_SHAPES + ("call",))
@@ -552,6 +563,14 @@ class TestCompiledCode:
         del expr
         gc.collect()
         assert ref() is None
+
+    def test_deep_copy_is_the_tree(self):
+        # a frozen tree needs no copy; its compiled code comes along
+        expr = parse(" 1/u")
+        assert evaluate(expr, 0.0, 2.0, 0.0) == 0.5
+        assert copy.deepcopy(expr) is expr and "_code" in vars(expr)
+        shallow = copy.copy(expr)
+        assert shallow == expr and "_code" not in vars(shallow)
 
     def test_evaluated_tree_pickles(self):
         # the compiled closures stay behind; the copy compiles its own
