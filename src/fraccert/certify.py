@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,21 +108,19 @@ class ExtremumEstimate:
         return self.refine_rounds > 0
 
 
-def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float], int]:
+def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float]]:
     """Maximize sign * fn on the open grid of ``axes``; the first maximum wins ties.
 
     ``fn`` gets the axes shaped (n,1,1), (1,n,1), (1,1,n) and may return
     its value un-broadcast. The argmax runs on that small array: the full
     grid is constant along its length-1 axes, so the full grid's first
-    (C-order) maximum has index 0 there. The count is that of the grid of
-    ``axes``; callers that leave out unread axes count the full grid.
+    (C-order) maximum has index 0 there.
     """
     t, u, v = axes
     vals = fn(t.reshape(-1, 1, 1), u.reshape(1, -1, 1), v.reshape(1, 1, -1))
     vals = sign * np.reshape(vals, (1,) * (3 - np.ndim(vals)) + np.shape(vals))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return (float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx)),
-            t.size * u.size * v.size)
+    return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx))
 
 
 def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
@@ -155,8 +153,7 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
         # +0.0), where the full grid's first maximum lies
         axes = [_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0 if hi > lo else lo])
                 for (lo, hi), name in zip(bounds, "tuv")]
-        val, where, _ = _scan(code, axes, sign)
-        return val, where, math.prod(grid if hi > lo else 1 for lo, hi in bounds)
+        return *_scan(code, axes, sign), math.prod(grid if hi > lo else 1 for lo, hi in bounds)
 
     with np.errstate(all="raise", under="ignore"):
         best, loc, total = scan(ranges)
@@ -195,7 +192,7 @@ class ConditionResult:
 
     ``lhs`` is the quantity compared against ``threshold``: the sampled
     extremum of f_i / rho_i for index conditions, of the growth ratio for
-    nonexistence conditions.
+    nonexistence conditions, or, with threshold 0, of f_i on the plane w_i = 0.
     """
 
     kind: str  # I1 | I0 | I0star | NE1 | NE2
@@ -223,8 +220,10 @@ class ConditionFailed(Exception):
 
     def __init__(self, result: ConditionResult):
         self.result = result
+        plane = f" on the plane {'uv'[result.equation - 1]} = 0"
         super().__init__(
-            f"condition {result.kind} failed for equation {result.equation}: "
+            f"condition {result.kind} failed for equation {result.equation}"
+            f"{plane if result.rho is None and result.threshold == 0.0 else ''}: "
             f"lhs {result.lhs:.6g} vs threshold {result.threshold:.6g}"
         )
 
@@ -462,7 +461,9 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     NE1: sup f_i / |w_i| < m_i over t in [0,1] and box samples with
     |w_i| >= NE_EXCLUSION * box scale (the condition requires w_i != 0).
     NE2: inf f_i / w_i > M_i over t in [0, b_i] and box samples with
-    w_i > 0.
+    w_i > 0. When that holds and the box's w_i range holds 0, a sup > 0
+    (NE1) or an inf < 0 (NE2) of f_i on the plane w_i = 0, on the same t
+    and other axes, fails the condition with threshold 0.
     """
     code, reads = _compiled(problem.f[i - 1])
     own = box.u_range if i == 1 else box.v_range
@@ -499,7 +500,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     ratio = lambda tg, ug, vg: code(tg, ug, vg) / np.abs(ug if i == 1 else vg)
     try:
         with np.errstate(all="raise", under="ignore"):
-            best, loc, _ = _scan(ratio, (t_axis, u_axis, v_axis), sign)
+            best, loc = _scan(ratio, (t_axis, u_axis, v_axis), sign)
     except FloatingPointError:
         raise ValueError(f"condition {kind} for equation {i}: growth ratio "
                          f"f{i}/|{'uv'[i - 1]}| overflows") from None
@@ -507,7 +508,17 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
         kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
         samples=n * own_axis.size * n, refine_rounds=0,
     )
-    return _condition(problem, kind, i, None, box, est)
+    result = _condition(problem, kind, i, None, box, est)
+    if not (result.holds and own[0] <= 0.0 <= own[1]):
+        return result
+    plane = [t_axis, u_axis, v_axis]
+    plane[i] = np.array([0.0])  # the ratio leaves out w_i = 0, where f_i's sign matters
+    with np.errstate(all="raise", under="ignore"):
+        best, loc = _scan(code, plane, sign)
+    if best <= 0.0:
+        return result
+    est = replace(est, value=sign * best, location=loc, samples=n * n)
+    return replace(result, lhs=sign * best, threshold=0.0, holds=False, estimate=est)
 
 
 # nonexistence variant -> the (equation 1, equation 2) growth kinds to try, in order
@@ -520,8 +531,10 @@ def check_nonexistence(problem: Problem, variant: int, box: Box3, n: int = 41) -
     Variant 1 compares both nonlinearities below m_i * |w_i| (excluding
     the slab |w_i| < NE_EXCLUSION * scale); variant 2 above M_i * w_i for
     positive components; variant 3 mixes one equation of each kind (both
-    assignments are tried). The conclusion is explicitly scoped: the
-    growth conditions are verified on the sampled box only.
+    assignments are tried). Where the box's w_i range holds 0, f_i must
+    also be <= 0 (below) or >= 0 (above) on the plane w_i = 0, which the
+    ratio leaves out. The conclusion is explicitly scoped: the growth
+    conditions are verified on the sampled box only.
     """
     if variant not in _NE_VARIANTS:
         raise ValueError(f"variant must be 1, 2 or 3, got {variant!r}")

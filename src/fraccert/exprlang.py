@@ -2,8 +2,9 @@
 
 Variables: t, u, v. Operators: + - * / ^ (power, right-associative) and
 unary minus, with precedence ^ > unary- > * / > + -. Functions: abs, sqrt,
-exp, log, sin, cos (unary) and min, max (binary). Unary minus compiles as
-the one-operand function "neg", so every operation node compiles alike.
+exp, log, sin, cos (unary) and min, max (binary). A tree is made of Num,
+Var and Call nodes: unary minus *is* a call of "neg", which a config cannot
+write, so every operation is a Call and compiles alike.
 
 Literals and inputs must be finite; evaluation then never returns a
 non-finite number: division by zero, domain faults (sqrt/log of a negative,
@@ -39,8 +40,6 @@ __all__ = [
     "Expr",
     "Num",
     "Var",
-    "Unary",
-    "Bin",
     "Call",
     "MAX_DEPTH",
     "parse",
@@ -109,28 +108,15 @@ class Var(_Node):
 
 
 @dataclass(frozen=True)
-class Unary(_Node):
-    op: str
-    operand: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Bin(_Node):
-    op: str
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class Call(_Node):
+    """An operation: ``fn`` is an operator's symbol, "neg" or a FUNCTIONS name."""
+
     fn: str
     args: tuple["Expr", ...]
     pos: int = field(default=0, compare=False)
 
 
-Expr = Num | Var | Unary | Bin | Call
+Expr = Num | Var | Call
 
 VARIABLES = ("t", "u", "v")
 FUNCTIONS = {"abs": 1, "sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "min": 2, "max": 2}
@@ -215,7 +201,7 @@ def _parse_prefix(ts: _Tokens, depth: int) -> tuple[Expr, int]:
         return Var(val, pos), depth
     if val == "-":
         operand, deepest = _parse_expr(ts, _UNARY_BP, _nest(depth, pos))
-        return Unary("-", operand, pos), deepest
+        return Call("neg", (operand,), pos), deepest
     if val == "(":
         inner = _parse_expr(ts, 0, _nest(depth, pos))
         ts.expect(")")
@@ -236,7 +222,7 @@ def _parse_expr(ts: _Tokens, min_bp: int, depth: int) -> tuple[Expr, int]:
         deepest = _nest(deepest, pos)  # the new node pushes ``left`` a level down
         # right-associative power re-enters at its own binding power
         right, right_deepest = _parse_expr(ts, bp if val == "^" else bp + 1, depth + 1)
-        left, deepest = Bin(val, left, right, pos), max(deepest, right_deepest)
+        left, deepest = Call(val, (left, right), pos), max(deepest, right_deepest)
 
 
 def parse(text: str) -> Expr:
@@ -249,7 +235,7 @@ def parse(text: str) -> Expr:
     return expr
 
 
-# The ufunc each node applies; "^" is _power. Unary minus is the one-operand "neg".
+# The ufunc each Call applies; "^" is _power. Unary minus *is* a "neg" call.
 _UFUNCS = {
     "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
     "abs": np.absolute, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
@@ -293,13 +279,7 @@ def _compile(node: Expr):
         return (lambda t, u, v: value), frozenset()
     if isinstance(node, Var):
         return _VAR_CODE[node.name], frozenset((node.name,))
-    if isinstance(node, Unary):
-        op, children = "neg", (node.operand,)
-    elif isinstance(node, Bin):
-        op, children = node.op, (node.left, node.right)
-    else:
-        op, children = node.fn, node.args
-    pos = node.pos
+    op, children, pos = node.fn, node.args, node.pos
     apply = (lambda a, b: _power(a, b, pos)) if op == "^" else _UFUNCS[op]
     codes, reads = zip(*[_compile(child) for child in children])
     reads = frozenset().union(*reads)
@@ -356,11 +336,9 @@ def eval_exprs(exprs: tuple[Expr, ...], t, u, v) -> tuple[np.ndarray, ...]:
 
 
 def _prec(node: Expr) -> int:
-    if isinstance(node, Bin):
-        return _BIN_BP[node.op]
-    if isinstance(node, Unary):
-        return _UNARY_BP
-    return 100
+    if not isinstance(node, Call):
+        return 100
+    return _UNARY_BP if node.fn == "neg" else _BIN_BP.get(node.fn, 100)
 
 
 def _operand(node: Expr, bp: int, tie: bool) -> str:
@@ -376,12 +354,12 @@ def pretty(expr: Expr) -> str:
         return repr(expr.value)
     if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, Unary):
-        return f"-{_operand(expr.operand, _UNARY_BP, False)}"
-    if isinstance(expr, Bin):
+    if expr.fn == "neg":
+        return f"-{_operand(expr.args[0], _UNARY_BP, False)}"
+    if expr.fn in _BIN_BP:
         # an operand binding as tightly as the operator needs parentheses on the
         # side the operator does not associate to: the left for ^, else the right
-        bp, right_assoc = _BIN_BP[expr.op], expr.op == "^"
-        return (f"{_operand(expr.left, bp, right_assoc)} {expr.op} "
-                f"{_operand(expr.right, bp, not right_assoc)}")
+        (left, right), bp, right_assoc = expr.args, _BIN_BP[expr.fn], expr.fn == "^"
+        return (f"{_operand(left, bp, right_assoc)} {expr.fn} "
+                f"{_operand(right, bp, not right_assoc)}")
     return f"{expr.fn}({', '.join(pretty(a) for a in expr.args)})"

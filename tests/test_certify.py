@@ -31,6 +31,7 @@ from fraccert.certify import (
     search_certificate,
 )
 from fraccert.exprlang import DivisionByZero, DomainError, Num, Overflow, Var, parse, pretty
+from fraccert.solver import build_grid, solve_picard
 from test_exprlang import _branches, _fault_trees, _trees
 
 UNIT = Box3(t_range=(0.0, 1.0), u_range=(-1.0, 1.0), v_range=(-1.0, 1.0))
@@ -159,7 +160,8 @@ class TestAxis:
 
 
 def meshgrid_scan(fn, axes, sign):
-    """Reference for certify._scan: the same argmax on a materialised mesh."""
+    """Reference for certify._scan: the same argmax on a materialised mesh,
+    and the mesh's size."""
     tg, ug, vg = np.meshgrid(*axes, indexing="ij")
     vals = sign * np.broadcast_to(fn(tg, ug, vg), tg.shape)
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -168,7 +170,7 @@ def meshgrid_scan(fn, axes, sign):
 
 def on_mesh(call):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(certify, "_scan", meshgrid_scan)
+        patch.setattr(certify, "_scan", lambda fn, axes, sign: meshgrid_scan(fn, axes, sign)[:2])
         return call()
 
 
@@ -274,9 +276,9 @@ def on_full_mesh(call):
     compiled = certify._compiled
 
     def scan(fn, axes, sign):
-        found = meshgrid_scan(fn, axes, sign)
-        sizes.append(found[2])
-        return found
+        *found, size = meshgrid_scan(fn, axes, sign)
+        sizes.append(size)
+        return tuple(found)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certify, "_scan", scan)
@@ -317,8 +319,9 @@ class TestReadAxes:
         want, sizes = on_full_mesh(call)
         assert repr(_outcome(call)) == repr(want)
         if isinstance(want[0], ConditionResult):
-            # the last assignment tried scans the last two meshes
-            assert {cond.estimate.samples for cond in want} <= set(sizes[-2:])
+            # the last assignment tried scans, per equation, its ratio and, when
+            # the w_i range holds 0, the plane w_i = 0: the last four meshes at most
+            assert {cond.estimate.samples for cond in want} <= set(sizes[-4:])
 
 
 class TestRefineFaults:
@@ -735,6 +738,38 @@ class TestNonexistence:
         with pytest.raises(ConditionFailed) as info:
             check_nonexistence(problem, 2, self.POS_BOX)
         assert info.value.result.equation == 1
+
+    def test_NE1_positive_on_the_plane_fails(self, make_problem):
+        # the ratio 1e-9/|u| stays below m_1 off the slab, but f_1 > 0 on u = 0
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(make_problem("1e-9", "1e-9"), 1, self.BOX)
+        res = info.value.result
+        assert (res.kind, res.equation, res.holds) == ("NE1", 1, False)
+        assert (res.lhs, res.threshold, res.estimate.value) == (1e-9, 0.0, 1e-9)
+        assert res.estimate.location == (0.0, 0.0, -10.0)
+        assert res.estimate.samples == 41 * 41
+        assert str(info.value).startswith("condition NE1 failed for equation 1 on the plane u = 0:")
+
+    def test_NE2_negative_on_the_plane_fails(self, make_problem):
+        problem = make_problem("100*u", "500*v - 1e-9")
+        # the box's v range leaves out 0, so the plane is never scanned
+        assert check_nonexistence(problem, 2, self.POS_BOX).solutions == 0
+        with pytest.raises(ConditionFailed) as info:
+            check_nonexistence(problem, 2, self.BOX)
+        res = info.value.result
+        assert (res.kind, res.equation, res.lhs, res.threshold) == ("NE2", 2, -1e-9, 0.0)
+        assert res.estimate.kind == "inf" and res.estimate.location[2] == 0.0
+        assert "on the plane v = 0" in str(info.value)
+
+    def test_no_NE1_box_holds_the_tiny_forcing_solution(self, make_problem, model1, model2):
+        problem = make_problem("1e-9", "1e-9")
+        sol = solve_picard(build_grid((model1, model2), 201), *problem.f)
+        u, v = sol.u_values, sol.v_values
+        assert sol.converged and 0.0 < np.abs(u).max() < 1e-8 and 0.0 < np.abs(v).max() < 1e-8
+        hull = Box3((0.0, 1.0), (u.min(), u.max()), (v.min(), v.max()))
+        for box in (self.BOX, UNIT, hull):
+            with pytest.raises(ConditionFailed):
+                check_nonexistence(problem, 1, box)
 
     def test_NE3_first_assignment(self, make_problem):
         problem = make_problem("0.6*abs(u)", "600*v")

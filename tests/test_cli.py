@@ -160,6 +160,13 @@ class TestLoadConfig:
             load_config(path)
         assert info.value.errors == ["/options/quadrature: unknown key"]
 
+    def test_neg_is_not_a_config_function(self, tmp_path, capsys):
+        # unary minus parses to a call of "neg", which a config cannot write
+        path = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="neg(u)"))
+        assert main(["constants", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "config rejected:\n  /nonlinearities/f1: unknown function 'neg' (at offset 0)\n")
+
     def test_negative_margin(self, tmp_path):
         path = write_config(tmp_path, lambda c: c["options"].update(margin=-1.0))
         with pytest.raises(ValidationError) as info:
@@ -438,6 +445,17 @@ class TestCertifyCommand:
         assert report["certificate"] is None
         assert sorted(report["failure"]) == ["equation", "kind", "lhs", "threshold"]
         assert report["failure"]["kind"] == "NE2"
+
+    def test_nonexistence_plane_failure_exit_2(self, tmp_path, capsys):
+        # f = 1e-9 grows below m_i * |w_i| off the slab but is positive on u = 0
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="1e-9", f2="1e-9"))
+        rc = main(["certify", "--config", cfg, "--pattern", "NE1", "--box=-10,10,-10,10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.out)["failure"] == {
+            "kind": "NE1", "equation": 1, "lhs": 1e-9, "threshold": 0.0}
+        assert captured.err == ("no certificate: condition NE1 failed for equation 1 "
+                                "on the plane u = 0: lhs 1e-09 vs threshold 0\n")
 
     def test_ladder_violation_exit_1(self, capsys):
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "1,1"])

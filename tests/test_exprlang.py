@@ -22,7 +22,6 @@ from fraccert.certify import Box3, box_inf
 from fraccert.exprlang import (
     MAX_DEPTH,
     ArityError,
-    Bin,
     Call,
     DivisionByZero,
     DomainError,
@@ -30,7 +29,6 @@ from fraccert.exprlang import (
     ExprSyntaxError,
     Num,
     Overflow,
-    Unary,
     UnknownIdentifier,
     Var,
     eval_exprs,
@@ -74,6 +72,20 @@ class TestParsing:
     def test_variables(self):
         assert parse("t") == Var("t")
         assert evaluate(parse("v"), 0.0, 0.0, -2.5) == -2.5
+
+    @pytest.mark.parametrize("text, tree", [
+        ("-u", Call("neg", (Var("u"),))),
+        ("u - v", Call("-", (Var("u"), Var("v")))),
+        ("u^2", Call("^", (Var("u"), Num(2.0)))),
+        ("abs(u)", Call("abs", (Var("u"),))),
+    ])
+    def test_every_operation_is_a_call(self, text, tree):
+        assert parse(text) == tree
+
+    def test_neg_is_not_a_function(self):
+        with pytest.raises(UnknownIdentifier) as info:
+            parse("neg(u)")
+        assert info.value.position == 0
 
     @pytest.mark.parametrize(
         "text, err",
@@ -236,7 +248,7 @@ class TestPretty:
 
 
 # Random expression trees with nonnegative literals (the parser never
-# produces a negative Num, it wraps a unary minus around it instead).
+# produces a negative Num, it wraps a "neg" call around it instead).
 _leaves = st.one_of(
     st.floats(min_value=0.0, max_value=3.0, allow_nan=False).map(lambda x: Num(round(x, 3))),
     st.sampled_from(["t", "u", "v"]).map(Var),
@@ -246,8 +258,8 @@ _leaves = st.one_of(
 def _branches(children):
     return st.one_of(
         st.tuples(st.sampled_from(["+", "-", "*"]), children, children).map(
-            lambda p: Bin(p[0], p[1], p[2])),
-        children.map(lambda e: Unary("-", e)),
+            lambda p: Call(p[0], (p[1], p[2]))),
+        children.map(lambda e: Call("neg", (e,))),
         st.tuples(st.sampled_from(["abs", "sin", "cos"]), children).map(
             lambda p: Call(p[0], (p[1],))),
         st.tuples(st.sampled_from(["min", "max"]), children, children).map(
@@ -291,10 +303,7 @@ def _variables(node):
         return {node.name}
     if isinstance(node, Num):
         return set()
-    if isinstance(node, Unary):
-        return _variables(node.operand)
-    children = (node.left, node.right) if isinstance(node, Bin) else node.args
-    return set().union(*map(_variables, children))
+    return set().union(*map(_variables, node.args))
 
 
 def _both_grids(expr, t, u, v):
@@ -384,18 +393,18 @@ def _evaluate(node, t, u, v):
         return np.asarray(node.value, dtype=float)
     if isinstance(node, Var):
         return np.asarray({"t": t, "u": u, "v": v}[node.name], dtype=float)
-    if isinstance(node, Unary):
-        return -_evaluate(node.operand, t, u, v)
-    if isinstance(node, Bin):
-        a = _evaluate(node.left, t, u, v)
-        b = _evaluate(node.right, t, u, v)
-        if node.op == "+":
+    if node.fn == "neg":
+        return -_evaluate(node.args[0], t, u, v)
+    if node.fn in ("+", "-", "*", "/", "^"):
+        a = _evaluate(node.args[0], t, u, v)
+        b = _evaluate(node.args[1], t, u, v)
+        if node.fn == "+":
             return _check_finite(a + b, node.pos, "addition")
-        if node.op == "-":
+        if node.fn == "-":
             return _check_finite(a - b, node.pos, "subtraction")
-        if node.op == "*":
+        if node.fn == "*":
             return _check_finite(a * b, node.pos, "multiplication")
-        if node.op == "/":
+        if node.fn == "/":
             if np.any(b == 0.0):
                 raise DivisionByZero("division by zero", node.pos)
             return _check_finite(a / b, node.pos, "division")
@@ -453,10 +462,6 @@ def _numbered(tree):
 
     def walk(node):
         pos = next(counter)
-        if isinstance(node, Unary):
-            return Unary("-", walk(node.operand), pos)
-        if isinstance(node, Bin):
-            return Bin(node.op, walk(node.left), walk(node.right), pos)
         if isinstance(node, Call):
             return Call(node.fn, tuple(walk(arg) for arg in node.args), pos)
         return dataclasses.replace(node, pos=pos)
@@ -477,8 +482,8 @@ _fault_leaves = st.one_of(
 def _all_branches(children):
     return st.one_of(
         st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
-            lambda p: Bin(p[0], p[1], p[2])),
-        children.map(lambda e: Unary("-", e)),
+            lambda p: Call(p[0], (p[1], p[2]))),
+        children.map(lambda e: Call("neg", (e,))),
         st.tuples(st.sampled_from(["abs", "sqrt", "exp", "log", "sin", "cos"]), children).map(
             lambda p: Call(p[0], (p[1],))),
         st.tuples(st.sampled_from(["min", "max"]), children, children).map(
