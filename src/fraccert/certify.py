@@ -31,7 +31,8 @@ point, where the full grid's first maximum lies, and ``samples`` still
 counts the full grid. A ladder level checks its equations in order and
 stops at the first that fails (``check_I1`` and ``check_I0`` return both);
 so does each assignment a nonexistence check tries, so a growth ratio
-past the first failure is never sampled and cannot overflow.
+past the first failure is never sampled and cannot overflow. An index
+condition stops refining at its first failing round, which no later one can rescue.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class ExtremumEstimate:
     """Sampled extremum over a box.
 
     ``value`` is inside the true range: below the true sup for kind "sup",
-    above the true inf for kind "inf".
+    above the true inf for kind "inf". ``refine_rounds`` counts the rounds that ran.
     """
 
     kind: str
@@ -137,9 +138,10 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
 
 
 def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
-                  sign: float) -> ExtremumEstimate:
+                  sign: float, until=None) -> ExtremumEstimate:
     """Maximize sign * expr over the box: coarse scan plus shrinking rescans.
 
+    Rescans stop when every half-width is below 1e-15 or ``until(value)`` holds.
     Box3 checked the box once (finite ends and width), so the compiled code
     runs unchecked on its axes, in one errstate block for all rounds.
     """
@@ -158,12 +160,14 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
     with np.errstate(all="raise", under="ignore"):
         best, loc, total = scan(ranges)
         half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
-        for _ in range(refine_rounds):
+        rounds = 0
+        while rounds < refine_rounds and not (until and until(sign * best)):
             if all(h < 1e-15 for h in half):
                 break
             val, where, n = scan([(max(lo, x - h), min(hi, x + h))
                                   for (lo, hi), x, h in zip(ranges, loc, half)])
             total += n
+            rounds += 1
             if val > best:
                 best, loc = val, where
             half = [h / 2.0 for h in half]
@@ -172,18 +176,20 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
         value=sign * best,
         location=loc,
         samples=total,
-        refine_rounds=refine_rounds,
+        refine_rounds=rounds,
     )
 
 
-def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
-    """Sampled supremum of an expression over a box (monotone under refinement)."""
-    return _box_extremum(expr, box, grid, refine_rounds, 1.0)
+def box_sup(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8, *,
+            until=None) -> ExtremumEstimate:
+    """Sampled supremum over a box (monotone under refinement, stopped once ``until(sup)``)."""
+    return _box_extremum(expr, box, grid, refine_rounds, 1.0, until)
 
 
-def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8) -> ExtremumEstimate:
-    """Sampled infimum of an expression over a box (monotone under refinement)."""
-    return _box_extremum(expr, box, grid, refine_rounds, -1.0)
+def box_inf(expr: Expr, box: Box3, grid: int = 33, refine_rounds: int = 8, *,
+            until=None) -> ExtremumEstimate:
+    """Sampled infimum over a box (monotone under refinement, stopped once ``until(inf)``)."""
+    return _box_extremum(expr, box, grid, refine_rounds, -1.0, until)
 
 
 @dataclass(frozen=True)
@@ -269,6 +275,12 @@ def _radii(rho) -> tuple[float, float]:
     return rho
 
 
+def _holds(problem: Problem, sup: bool, i: int, lhs: float) -> bool:
+    """A sup strictly below m_i or an inf strictly above M_i, past the margin."""
+    margin = problem.options.margin
+    return lhs < problem.m_used(i) - margin if sup else lhs > problem.M_used(i) + margin
+
+
 def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | None,
                box: Box3, est: ExtremumEstimate) -> ConditionResult:
     """Compare one extremum with its threshold, strictly past the margin.
@@ -280,26 +292,22 @@ def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | N
     lhs = est.value if rho is None else est.value / rho[i - 1]
     if not math.isfinite(lhs):
         raise ValueError(f"condition {kind} for equation {i}: f{i}/rho_{i} overflows")
-    margin = problem.options.margin
-    if est.kind == "sup":
-        thr = problem.m_used(i)
-        holds = lhs < thr - margin
-    else:
-        thr = problem.M_used(i)
-        holds = lhs > thr + margin
+    sup = est.kind == "sup"
     return ConditionResult(
-        kind=kind, equation=i, rho=rho, box=box, lhs=lhs, threshold=thr, holds=holds,
-        conservative=problem.options.conservative, margin=margin, estimate=est,
+        kind=kind, equation=i, rho=rho, box=box, lhs=lhs,
+        threshold=problem.m_used(i) if sup else problem.M_used(i),
+        holds=_holds(problem, sup, i, lhs), conservative=problem.options.conservative,
+        margin=problem.options.margin, estimate=est,
     )
 
 
 def _check_one(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> ConditionResult:
-    """One equation's index condition (I1, I0 or I0star) at radii rho."""
-    if kind == "I1":
-        box = _i1_box(rho)
-        return _condition(problem, kind, i, rho, box, box_sup(problem.f[i - 1], box))
-    box = _i0_box(problem, rho, i, kind == "I0star")
-    return _condition(problem, kind, i, rho, box, box_inf(problem.f[i - 1], box))
+    """One index condition (I1, I0 or I0star) of equation i at rho; refining stops once it fails."""
+    sup = kind == "I1"
+    box = _i1_box(rho) if sup else _i0_box(problem, rho, i, kind == "I0star")
+    est = (box_sup if sup else box_inf)(
+        problem.f[i - 1], box, until=lambda value: not _holds(problem, sup, i, value / rho[i - 1]))
+    return _condition(problem, kind, i, rho, box, est)
 
 
 def check_I1(problem: Problem, rho1: float, rho2: float) -> tuple[ConditionResult, ConditionResult]:

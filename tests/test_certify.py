@@ -121,6 +121,31 @@ class TestBoxExtremum:
         assert box_sup(expr, UNIT, grid=9, refine_rounds=2).refined
         assert not box_sup(expr, UNIT, grid=9, refine_rounds=0).refined
 
+    @pytest.mark.parametrize("box, samples", [
+        (Box3((0.5, 0.5), (1.0, 1.0), (2.0, 2.0)), 1),
+        # the t half-width 1e-14/32 is already below 1e-15 before the first round
+        (Box3((0.5, 0.5 + 1e-14), (1.0, 1.0), (2.0, 2.0)), 33),
+    ], ids=["degenerate", "tiny"])
+    def test_narrow_box_runs_no_round(self, box, samples):
+        est = box_sup(parse("t+u+v"), box)
+        assert (est.samples, est.refine_rounds, est.refined) == (samples, 0, False)
+
+    @pytest.mark.parametrize("extremum", [box_sup, box_inf])
+    @pytest.mark.parametrize("stop_after", range(9))
+    def test_until_stops_refining(self, extremum, stop_after):
+        expr = parse("sin(3*t) - u*v + cos(2*v)")
+        seen = []
+
+        def until(value):
+            seen.append(value)
+            return len(seen) > stop_after
+
+        # until sees the estimate after the coarse scan and after each round
+        # but the last; the rounds that ran give the estimate
+        assert extremum(expr, UNIT, until=until) == extremum(expr, UNIT, refine_rounds=stop_after)
+        assert seen == [extremum(expr, UNIT, refine_rounds=k).value
+                        for k in range(min(stop_after + 1, 8))]
+
     def test_refinement_reaches_interior_peak(self):
         # peak at u = 0.3141 falls between the 9 coarse grid points
         est = box_sup(parse("-(u - 0.3141)^2"), UNIT, grid=9, refine_rounds=12)
@@ -342,6 +367,11 @@ class TestRefineFaults:
             extremum(expr, self.BOX, grid=3, refine_rounds=4)
         assert type(info.value) is error and str(info.value) == message
 
+    def test_until_stops_before_the_faulting_round(self):
+        est = box_sup(parse("1/(u - 0.75) * t"), self.BOX, grid=3, refine_rounds=4,
+                      until=lambda value: True)
+        assert (est.samples, est.refine_rounds) == (27, 0)
+
 
 class TestLevelShortCircuit:
     @pytest.fixture
@@ -350,9 +380,9 @@ class TestLevelShortCircuit:
         def install(problem):
             calls = []
             for name in ("box_sup", "box_inf"):
-                def counted(expr, box, *args, _name=name, _real=getattr(certify, name)):
+                def counted(expr, box, *args, _name=name, _real=getattr(certify, name), **kwargs):
                     calls.append((_name, 1 if expr is problem.f[0] else 2, box))
-                    return _real(expr, box, *args)
+                    return _real(expr, box, *args, **kwargs)
                 monkeypatch.setattr(certify, name, counted)
             return calls
         return install
@@ -389,6 +419,50 @@ class TestLevelShortCircuit:
         assert [res.holds for res in check_I1(problem, 1.0, 1.0)] == [False, True]
         assert [res.holds for res in check_I0(problem, 1.0, 1.0)] == [True, False]
         assert len(sampled) == 4
+
+
+# Ramps h*min(1, max((w - s)/d, 0)) in u or v: on an index box a ramp can
+# cross a threshold between the coarse scan and a refined round.
+_ramps = st.builds(lambda var, h, s, d: parse(f"{h!r}*min(1, max(({var} - {s!r})/{d!r}, 0))"),
+                   st.sampled_from("uv"), st.floats(0.0, 1000.0), st.floats(0.0, 10.0),
+                   st.floats(0.01, 10.0))
+_radii_pairs = st.tuples(st.floats(-3.0, 1.0), st.floats(-3.0, 1.0)).map(
+    lambda p: (10.0 ** p[0], 10.0 ** p[1]))
+
+
+class TestEarlyStop:
+    """An index condition stops refining at its first failing round."""
+
+    def test_failed_condition_stops_after_the_coarse_scan(self, make_problem):
+        failed, held = check_I1(make_problem("1000", "0.1"), 1.0, 1.0)
+        assert (failed.holds, failed.estimate.refine_rounds, failed.estimate.samples) == (
+            False, 0, 33**3)
+        assert (held.holds, held.estimate.refine_rounds) == (True, 8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(_trees, _ramps), st.one_of(_trees, _ramps), _radii_pairs,
+           st.floats(0.0, 1.0))
+    # a peak (I1) and a notch (I0) between coarse u points: equation 1 fails at round 1
+    @example(parse("2*max(0, 1 - abs(u - 0.34)/0.05)"), Num(0.1), (1.0, 1.0), 1e-9)
+    @example(parse("100 - 20*max(0, 1 - abs(u - 20.3)/2)"), Num(0.1), (1.0, 1.0), 1e-9)
+    def test_verdicts_match_full_refinement(self, base_problem, f1, f2, rho, margin):
+        problem = dataclasses.replace(
+            base_problem, f=(f1, f2), f_text=(pretty(f1), pretty(f2)),
+            options=dataclasses.replace(base_problem.options, margin=margin))
+        for kind, i in ((kind, i) for kind in ("I1", "I0", "I0star") for i in (1, 2)):
+            sup = kind == "I1"
+            box = certify._i1_box(rho) if sup else certify._i0_box(problem, rho, i, kind == "I0star")
+            full = certify._condition(problem, kind, i, rho, box,
+                                      (box_sup if sup else box_inf)(problem.f[i - 1], box))
+            early = certify._check_one(problem, kind, rho, i)
+            if full.holds:
+                assert early == full
+                continue
+            # only the estimate and lhs differ; the lhs is no further past the threshold
+            assert not early.holds
+            assert dataclasses.replace(early, lhs=full.lhs, estimate=full.estimate) == full
+            assert early.lhs <= full.lhs if sup else early.lhs >= full.lhs
+            assert early.estimate.refine_rounds <= full.estimate.refine_rounds
 
 
 class TestNonexistenceShortCircuit:

@@ -513,6 +513,18 @@ class TestCertifyCommand:
         assert "condition NE1 failed for equation 1" in captured.err
         assert "overflows" not in captured.err
 
+    def test_fault_past_a_failing_scan_exit_2(self, tmp_path, capsys):
+        # the coarse scan fails I1 for equation 1, so round 1, whose u step 1/256
+        # would hit the pole u = 1/256, never runs
+        cfg = write_config(
+            tmp_path, lambda c: c["nonlinearities"].update(f1="u + 1/(u - 0.00390625)"))
+        rc = main(["certify", "--config", cfg, "--pattern", "S2", "--ladder", "1,2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("no certificate: condition I1 failed for equation 1: "
+                                "lhs 17.1292 vs threshold 1.37052\n")
+        assert "DivisionByZero" not in captured.err
+
     def test_overflowing_box_width_exit_1(self, capsys):
         # both u ends are finite, but u_hi - u_lo is not
         with warnings.catch_warnings():
