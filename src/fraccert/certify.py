@@ -128,11 +128,11 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
     """``np.linspace(lo, hi, grid)`` bit for bit, or the single point lo."""
     if hi <= lo:
         return np.array([lo])
-    step = (hi - lo) / (grid - 1)
+    axis, step = np.arange(grid, dtype=float), (hi - lo) / (grid - 1)
     if step == 0.0:  # a subnormal width: linspace divides before it scales
-        axis = np.arange(grid) / (grid - 1) * (hi - lo) + lo
-    else:
-        axis = np.arange(grid) * step + lo
+        axis = axis / (grid - 1) * (hi - lo) + lo
+    else:  # not (grid - 1) * step, which may overflow near the largest double
+        axis[:-1] = axis[:-1] * step + lo
     axis[-1] = hi
     return axis
 
@@ -261,8 +261,13 @@ def _i1_box(rho: tuple[float, float]) -> Box3:
 
 
 def _i0_box(problem: Problem, rho: tuple[float, float], i: int, star: bool) -> Box3:
-    ranges = [(-r / problem.c(j), r / problem.c(j)) for j, r in enumerate(rho, 1)]
-    ranges[i - 1] = (0.0 if star else rho[i - 1], rho[i - 1] / problem.c(i))
+    reach = [r / problem.c(j) for j, r in enumerate(rho, 1)]
+    for j, x in enumerate(reach, 1):
+        if not math.isfinite(x):
+            raise ValueError(f"condition I0{'star' if star else ''} for equation {i} at rho = "
+                             f"{rho!r}: rho_{j}/c_{j} overflows")
+    ranges = [(-x, x) for x in reach]
+    ranges[i - 1] = (0.0 if star else rho[i - 1], reach[i - 1])
     return Box3(t_range=(0.0, problem.b(i)), u_range=ranges[0], v_range=ranges[1])
 
 
@@ -344,21 +349,21 @@ PATTERNS = {
 }
 
 
+def _ladder_bound(problem: Problem, kind: str, x: float, i: int) -> tuple[float, str]:
+    """The radius the next level must exceed in equation i after a ``kind`` level
+    at x, and its name's suffix: leaving an index-0 level crosses K_{x/c_i}."""
+    return (x / problem.c(i), f"/c_{i}") if kind == "I0" else (x, "")
+
+
 def _check_ladder(problem: Problem, kinds, ladder) -> None:
     names = ("rho", "r", "s", "sigma")
     for j in range(len(kinds) - 1):
         for i in (1, 2):
-            x, y = ladder[j][i - 1], ladder[j + 1][i - 1]
-            if kinds[j] == "I0":
-                # leaving an index-0 level crosses the enlarged set K_{rho/c}
-                lhs, desc = x / problem.c(i), f"{names[j]}_{i}/c_{i}"
-            else:
-                lhs, desc = x, f"{names[j]}_{i}"
-            if not lhs < y:
+            lhs, over = _ladder_bound(problem, kinds[j], ladder[j][i - 1], i)
+            if not lhs < ladder[j + 1][i - 1]:
                 raise LadderOrderViolation(
-                    f"pattern requires {desc} < {names[j + 1]}_{i}: "
-                    f"{lhs:.6g} >= {y:.6g}"
-                )
+                    f"pattern requires {names[j]}_{i}{over} < {names[j + 1]}_{i}: "
+                    f"{lhs:.6g} >= {ladder[j + 1][i - 1]:.6g}")
 
 
 def _eval_level(problem: Problem, kind: str, rho: tuple[float, float],
@@ -433,7 +438,6 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
         raise ValueError(f"need 0 < lo < hi and points >= 2 with the top grid point "
                          f"lo * (hi/lo) finite, got lo={lo!r}, hi={hi!r}, points={points!r}")
     grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
-    c_min = min(problem.c(1), problem.c(2))
 
     @functools.cache  # a level's outcome at one radius, held or failed (None)
     def level_results(kind: str, star_allowed: bool, r: float):
@@ -446,13 +450,10 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
         if level == len(kinds):
             return _certificate(problem, pattern, tuple((r, r) for r in prefix), conds)
         star_allowed = _star_allowed(kinds, level)
+        bound = max(_ladder_bound(problem, kinds[level - 1], prefix[-1], i)[0]
+                    for i in (1, 2)) if prefix else -math.inf
         for r in grid:
-            if prefix:
-                prev = prefix[-1]
-                bound = prev / c_min if kinds[level - 1] == "I0" else prev
-                if not bound < r:
-                    continue
-            results = level_results(kinds[level], star_allowed, r)
+            results = level_results(kinds[level], star_allowed, r) if bound < r else None
             if results is None:
                 continue
             found = extend(level + 1, prefix + [r], conds + list(results))
@@ -467,7 +468,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     """Sampled growth comparison for one equation of a nonexistence variant.
 
     NE1: sup f_i / |w_i| < m_i over t in [0,1] and box samples with
-    |w_i| >= NE_EXCLUSION * box scale (the condition requires w_i != 0).
+    |w_i| >= NE_EXCLUSION * box scale and w_i != 0, as the condition requires.
     NE2: inf f_i / w_i > M_i over t in [0, b_i] and box samples with
     w_i > 0. When that holds and the box's w_i range holds 0, a sup > 0
     (NE1) or an inf < 0 (NE2) of f_i on the plane w_i = 0, on the same t
@@ -479,16 +480,13 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     scale = max(abs(own[0]), abs(own[1]))
     if scale <= 0.0:
         raise ValueError(f"equation {i} component box {own!r} has zero scale")
-    eps = NE_EXCLUSION * scale
+    eps = max(NE_EXCLUSION * scale, math.ulp(0.0))  # a subnormal scale still excludes 0
+    axis = lambda lo, hi: _axis(lo, hi, n) if hi > lo else np.linspace(lo, hi, n)  # no overflow
     if kind == "NE1":
         t_hi = 1.0
-        own_axis = np.linspace(own[0], own[1], n)
+        # never empty: the axis keeps both ends, and one has |w_i| = scale
+        own_axis = axis(own[0], own[1])
         own_axis = own_axis[np.abs(own_axis) >= eps]
-        if own_axis.size == 0:
-            raise ValueError(
-                f"equation {i} component box {own!r} lies inside the excluded "
-                f"zone |w| < {eps:g}"
-            )
     else:
         t_hi = problem.b(i)
         lo = max(own[0], eps)
@@ -497,10 +495,10 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
                 f"variant 2 needs positive samples of component {i}; "
                 f"box {own!r} has none above {eps:g}"
             )
-        own_axis = np.linspace(lo, own[1], n)
+        own_axis = axis(lo, own[1])
     # the ratio reads its own component; an unread t or other axis is
     # linspace's first point, 0 * step + start (so -0.0 becomes +0.0)
-    t_axis, other_axis = (np.linspace(start, stop, n) if name in reads else np.array([start + 0.0])
+    t_axis, other_axis = (axis(start, stop) if name in reads else np.array([start + 0.0])
                           for name, (start, stop) in (("t", (0.0, t_hi)), ("vu"[i - 1], other)))
     u_axis, v_axis = (own_axis, other_axis) if i == 1 else (other_axis, own_axis)
     # variant 2 samples only w_i > 0, where |w_i| = w_i

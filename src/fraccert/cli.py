@@ -234,8 +234,8 @@ def _emit_json(report: dict, out_path: str | None) -> None:
 
 def certificate_to_dict(cert: Certificate) -> dict:
     report = asdict(cert)
-    for cond in report["conditions"]:
-        cond["estimate"]["refined"] = cond["estimate"]["refine_rounds"] > 0
+    for cond, entry in zip(cert.conditions, report["conditions"]):
+        entry["estimate"]["refined"] = cond.estimate.refined
     return report
 
 
@@ -248,12 +248,7 @@ def _constants_report(problem: Problem) -> dict:
 def _nonneg_warnings(problem: Problem, cert: Certificate) -> list[str]:
     """Sampled nonnegativity of f_i on each condition box (standing hypothesis)."""
     warnings = []
-    seen = set()
-    for cond in cert.conditions:
-        key = (cond.equation, cond.box.t_range, cond.box.u_range, cond.box.v_range)
-        if key in seen:
-            continue
-        seen.add(key)
+    for cond in cert.conditions:  # no certificate repeats an (equation, box) pair
         rep = box_inf(problem.f[cond.equation - 1], cond.box, grid=21, refine_rounds=0)
         if rep.value < 0.0:
             warnings.append(
@@ -273,11 +268,15 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _parse_ladder(text: str, levels: int) -> list[tuple[float, float]]:
+def _numbers(flag: str, parts, types=itertools.repeat(float)) -> list:
     try:
-        vals = [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for kind, x in zip(types, parts)]
     except ValueError as exc:
-        raise ValueError(f"--ladder: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
+def _parse_ladder(text: str, levels: int) -> list[tuple[float, float]]:
+    vals = _numbers("--ladder", [x for x in text.split(",") if x.strip() != ""])
     if len(vals) == levels:
         return [(x, x) for x in vals]
     if len(vals) == 2 * levels:
@@ -292,11 +291,11 @@ def _parse_search(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--search expects lo:hi:points")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return tuple(_numbers("--search", parts, (float, float, int)))
 
 
 def _parse_box(text: str) -> tuple[float, float, float, float]:
-    vals = [float(x) for x in text.split(",")]
+    vals = _numbers("--box", text.split(","))
     if len(vals) != 4:
         raise ValueError("--box expects u_lo,u_hi,v_lo,v_hi")
     return tuple(vals)
@@ -347,7 +346,7 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
         parts = text[len("const:"):].split(",")
         if len(parts) != 2:
             raise ValueError("--init const form expects const:a,b")
-        a, b = float(parts[0]), float(parts[1])
+        a, b = _numbers("--init", parts)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"--init values must be finite, got {text!r}")
         return np.full(grid.nodes.size, a), np.full(grid.nodes.size, b)

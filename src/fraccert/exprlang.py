@@ -124,7 +124,7 @@ FUNCTIONS = {"abs": 1, "sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "min":
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 # binding powers: + - (10) < * / (20) < unary - (30) < ^ (40, right-assoc)
@@ -136,19 +136,13 @@ MAX_DEPTH = 200
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                if at >= len(text):
-                    break
-                raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-            pos = m.end()  # every alternative of _TOKEN consumes a character
-            self.toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        self.toks.append(("end", "", len(text)))
+        # every non-space character starts a token, so finditer skips only whitespace
+        self.toks = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+                     for m in _TOKEN.finditer(text)]
+        for kind, val, pos in self.toks:
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {val!r}", pos)
+        self.toks.append(("end", "end of input", len(text)))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -162,8 +156,7 @@ class _Tokens:
     def expect(self, text: str):
         kind, val, pos = self.next()
         if val != text:
-            shown = val if kind != "end" else "end of input"
-            raise ExprSyntaxError(f"expected {text!r}, found {shown!r}", pos)
+            raise ExprSyntaxError(f"expected {text!r}, found {val!r}", pos)
 
 
 def _nest(depth: int, pos: int) -> int:
@@ -206,8 +199,7 @@ def _parse_prefix(ts: _Tokens, depth: int) -> tuple[Expr, int]:
         inner = _parse_expr(ts, 0, _nest(depth, pos))
         ts.expect(")")
         return inner
-    shown = val if kind != "end" else "end of input"
-    raise ExprSyntaxError(f"expected a value, found {shown!r}", pos)
+    raise ExprSyntaxError(f"expected a value, found {val!r}", pos)
 
 
 def _parse_expr(ts: _Tokens, min_bp: int, depth: int) -> tuple[Expr, int]:

@@ -151,7 +151,7 @@ def default_interval_end(alpha: float, beta: float, eta: float) -> float:
 
 
 def _power(x, p: float):
-    """x**p for x >= 0 with exact zero at x = 0 (numpy-safe)."""
+    """x**p for x > 0 and an exact zero elsewhere, so it carries the indicator [x > 0]."""
     return np.where(x > 0.0, np.maximum(x, 0.0) ** p, 0.0)
 
 
@@ -160,13 +160,12 @@ def kernel_values(p: ProblemParams, t, s) -> np.ndarray:
 
     The indicator convention is closed: the (eta - s) term contributes for
     s <= eta and the (t - s) term for s <= t, each vanishing continuously
-    at its breakpoint.
+    at its breakpoint; _power is zero past it.
     """
     s = np.asarray(s, dtype=float)
     g = math.gamma(p.alpha)
     e = p.alpha - 1.0
-    return (p.beta + np.where(s <= p.eta, _power(p.eta - s, e), 0.0) / g
-            - np.where(s <= t, _power(t - s, e), 0.0) / g)
+    return p.beta + _power(p.eta - s, e) / g - _power(t - s, e) / g
 
 
 def phi_values(p: ProblemParams, s) -> np.ndarray:

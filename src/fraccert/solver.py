@@ -372,7 +372,8 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
             j = iterations % _MEMORY
             np.subtract(F, F_last, out=dF[j])
             np.subtract(P, P_last, out=dP[j])
-            row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan turns mixing off
+                row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
             order = [j] + order[:_MEMORY - 1]
             gram = [[row[a] for a in order]] + [[row[a]] + r[:len(order) - 1]
                                                 for a, r in zip(order[1:], gram)]

@@ -183,6 +183,17 @@ class TestAxis:
         assert np.array_equal(certify._axis(0.0, _TINY, 33), np.linspace(0.0, _TINY, 33))
         assert np.array_equal(certify._axis(0.5, 0.5, 33), [0.5])
 
+    @pytest.mark.parametrize("grid", [4, 41])
+    def test_width_near_the_largest_double(self, grid):
+        # 3 * (max/3) rounds past the largest double: linspace overflows there, then
+        # overwrites that point with hi; the axis computes no such point
+        hi = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = np.linspace(0.0, hi, grid)
+        with np.errstate(all="raise"):
+            assert np.array_equal(certify._axis(0.0, hi, grid), want)
+
 
 def meshgrid_scan(fn, axes, sign):
     """Reference for certify._scan: the same argmax on a materialised mesh,
@@ -565,6 +576,25 @@ class TestIndexConditions:
         assert res.box.u_range[0] == 0.0
         assert res.holds
 
+    @pytest.mark.parametrize("check, message", [
+        (lambda p: check_I0(p, 1e306, 1e306),
+         "condition I0 for equation 1 at rho = (1e+306, 1e+306): rho_2/c_2 overflows"),
+        (lambda p: check_I0(p, 1e307, 1.0),
+         "condition I0 for equation 1 at rho = (1e+307, 1.0): rho_1/c_1 overflows"),
+        (lambda p: check_I0_star(p, 1.0, 1e306, 2),
+         "condition I0star for equation 2 at rho = (1.0, 1e+306): rho_2/c_2 overflows"),
+        (lambda p: search_certificate(p, "S2", 1.0, 1e306, 3),
+         "condition I0 for equation 1 at rho = (1e+306, 1e+306): rho_2/c_2 overflows"),
+    ], ids=["I0-other", "I0-own", "I0star", "search"])
+    def test_I0_box_overflow_named(self, make_problem, check, message):
+        # c_1 = 0.0183 and c_2 = 0.00257, so rho_j/c_j passes 1.8e308 first for j = 2;
+        # the box the user never wrote, (-inf, inf), is not what the error names
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                check(make_problem("0", "0"))
+        assert str(info.value) == message
+
     def test_I0_star_identity_fails(self, make_problem):
         # f(u) = u vanishes at the bottom of the starred range [0, rho/c]
         res = check_I0_star(make_problem("u", "u"), 1.0, 1.0, 1)
@@ -719,6 +749,57 @@ class TestPattern:
                         conservative=True)
 
 
+def _staircase(var, first, gap, steps, height):
+    """Ramps h*s*min(1, max((w - s)/s, 0)) at s = 10^first, 10^(first + gap), ...:
+    index 0 holds just past each step and index 1 far past it, so the search
+    below certifies about half its draws."""
+    scales = [10.0 ** (first + gap * k) for k in range(steps)]
+    return parse(" + ".join(f"{height * s!r}*min(1, max(({var} - {s!r})/{s!r}, 0))"
+                            for s in scales))
+
+
+_staircases = st.builds(_staircase, st.sampled_from("uv"), st.integers(-3, 0),
+                        st.integers(5, 8), st.integers(1, 3), st.floats(500.0, 50000.0))
+_forcings = st.one_of(_staircases, _staircases, st.floats(0.0, 1e4).map(Num), _ramps, _trees)
+
+
+def assert_boxes_distinct(cert):
+    """No two conditions of ``cert`` sample one equation on one box."""
+    pairs = [(cond.equation, cond.box) for cond in cert.conditions]
+    assert len(set(pairs)) == len(pairs), pairs
+
+
+class TestDistinctBoxes:
+    """No certificate repeats an (equation, box) pair: ladder radii strictly
+    increase per equation, I1 boxes reach t = 1 and I0 boxes stop at b_i < 1,
+    the starred fallback replaces its level, and a nonexistence certificate
+    holds one condition per equation. The CLI's nonnegativity warnings rely on it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_forcings, _forcings, st.sampled_from(sorted(PATTERNS)), st.integers(2, 33))
+    @example(Num(10.0), Num(10.0), "S1", 13)
+    @example(Num(1000.0), Num(0.01), "S1", 7)  # the starred fallback at level 1
+    @example(parse(S3_F1), parse(S3_F2), "S5", 25)
+    @example(parse(S6_F1), parse(S6_F2), "S6", 25)
+    def test_pattern_and_search(self, base_problem, f1, f2, pattern, points):
+        problem = dataclasses.replace(base_problem, f=(f1, f2), f_text=(pretty(f1), pretty(f2)))
+        cert = search_certificate(problem, pattern, 1e-4, 1e20, points)
+        if cert is not None:
+            assert_boxes_distinct(cert)
+            assert_boxes_distinct(check_pattern(problem, pattern, cert.ladder))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0), st.integers(1, 3),
+           st.sampled_from([Box3((0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0)),
+                            Box3((0.0, 1.0), (0.01, 10.0), (0.01, 10.0))]))
+    def test_nonexistence(self, make_problem, a1, a2, variant, box):
+        problem = make_problem(f"{a1!r}*abs(u)", f"{a2!r}*v")
+        try:
+            assert_boxes_distinct(check_nonexistence(problem, variant, box, 9))
+        except ConditionFailed:
+            pass
+
+
 class TestSearch:
     def test_reference_search(self, base_problem):
         cert = search_certificate(base_problem, "S1", 1e-3, 1e3, 13)
@@ -869,6 +950,20 @@ class TestNonexistence:
             check_nonexistence(problem, 4, self.BOX)
         with pytest.raises(ValueError):
             check_nonexistence(problem, 1, self.BOX, n=2)
+
+    _ends = st.floats(allow_nan=False, allow_infinity=False)
+    _ranges = st.tuples(_ends, _ends).map(lambda r: tuple(sorted(r))).filter(
+        lambda r: math.isfinite(r[1] - r[0]) and max(abs(r[0]), abs(r[1])) > 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ranges, _ranges, st.integers(3, 9))
+    @example((0.0, 1e-320), (-1.0, 1.0), 41)  # a subnormal scale: 1e-6 * scale is 0
+    @example((-1e-6, 1e-6), (5e-324, 5e-324), 3)
+    @example((0.0, 1.0), (0.0, 1.7976931348623157e308), 4)  # linspace's last step overflows
+    def test_NE1_never_short_of_samples(self, make_problem, u, v, n):
+        # linspace keeps both ends, and one of them has |w_i| = scale, past the slab
+        cert = check_nonexistence(make_problem("0", "0"), 1, Box3((0.0, 1.0), u, v), n)
+        assert [cond.estimate.samples >= n * n for cond in cert.conditions] == [True, True]
 
     def test_zero_scale_box_rejected(self, make_problem):
         problem = make_problem("0.6*abs(u)", "0.5*abs(v)")

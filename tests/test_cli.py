@@ -535,6 +535,35 @@ class TestCertifyCommand:
         assert captured.err == ("error: ValueError: box u_range = (-1e+308, 1e+308) "
                                 "is too wide: hi - lo overflows\n")
 
+    @pytest.mark.parametrize("flag", [["--ladder", "1,1e306"], ["--search", "1:1e306:3"]],
+                             ids=["ladder", "search"])
+    def test_overflowing_I0_box_exit_1(self, tmp_path, capsys, flag):
+        # 1e306/c_2 overflows: the error names the condition and the radii, not the
+        # box (-inf, inf) that nobody wrote
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="0", f2="0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", cfg, "--pattern", "S2", *flag])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: ValueError: condition I0 for equation 1 at "
+                                "rho = (1e+306, 1e+306): rho_2/c_2 overflows\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["NE1", "--box=a,1,2,3"], "--box: could not convert string to float: 'a'"),
+        (["S1", "--search", "1:x:3"], "--search: could not convert string to float: 'x'"),
+        (["S1", "--search", "1:10:2.5"],
+         "--search: invalid literal for int() with base 10: '2.5'"),
+        (["S1", "--ladder", "a,b"], "--ladder: could not convert string to float: 'a'"),
+    ], ids=["box", "search-float", "search-int", "ladder"])
+    def test_unparsable_flag_is_named_exit_1(self, capsys, argv, err):
+        rc = main(["certify", "--config", REF, "--pattern", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {err}\n"
+
     def test_ladder_wrong_count_exit_1(self, capsys):
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--ladder", "0.02,0.03,10"])
         assert rc == 1
@@ -757,6 +786,26 @@ class TestSolveCommand:
         rc = main(["solve", "--config", REF, "--grid", "16", "--init", init,
                    "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
+
+    def test_unparsable_const_init_is_named_exit_1(self, tmp_path, capsys):
+        rc = main(["solve", "--config", REF, "--grid", "16", "--init", "const:x,1",
+                   "--out", str(tmp_path / "sol.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: --init: could not convert string to float: 'x'\n")
+
+    @pytest.mark.parametrize("init", ["const:1e160,1e160", "const:1e300,-1e300"])
+    def test_huge_init_overflows_no_warning(self, tmp_path, capsys, init):
+        # the Gram row of differences near 1e160 overflows in the dot product:
+        # mixing is off for those steps, and no RuntimeWarning is printed
+        out = tmp_path / "sol.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", REF, "--grid", "16", "--init", init,
+                       "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)  # converged or not, the run completes
+        assert "Warning" not in captured.err
 
     @pytest.mark.parametrize("init", ["const:nan,0", "const:1e999,0", "const:0,-inf", "file"])
     def test_non_finite_init_exit_1(self, tmp_path, init, capsys):

@@ -108,6 +108,29 @@ class TestParsing:
             parse("1 @ 2")
         assert info.value.position == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a value, found 'end of input' (at offset 0)"),
+        ("   ", "expected a value, found 'end of input' (at offset 3)"),
+        ("(u   ", "expected ')', found 'end of input' (at offset 5)"),
+        ("(u", "expected ')', found 'end of input' (at offset 2)"),
+        ("u +", "expected a value, found 'end of input' (at offset 3)"),
+        ("\u00e9", "unexpected character '\u00e9' (at offset 0)"),
+        # the tokenizer reads the whole text first, so its error wins over
+        # the earlier syntax error at ')'
+        ("u + ) @", "unexpected character '@' (at offset 6)"),
+    ], ids=["empty", "blank", "trailing-blank", "open-paren", "dangling-op", "non-ascii",
+            "bad-char-wins"])
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert info.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+    @pytest.mark.parametrize("text", ["u + 1   ", "u\xa0+\xa01", "\tu +\n1"])
+    def test_any_unicode_space_separates(self, text):
+        assert parse(text) == Call("+", (Var("u"), Num(1.0)))
+        assert parse(text).args[1].pos == len(text.rstrip()) - 1
+
     @pytest.mark.parametrize(
         "text, offset",
         [("1e999", 0), ("1 + 1e999", 4), ("1/1e999", 2), ("min(1, 1e999)", 7),
