@@ -24,15 +24,16 @@ certificate scoped to that box (patterns NONEXIST-1/2/3).
 
 All extrema are sampled estimates, not proved bounds: a sup estimate is a
 lower bound of the true sup, an inf estimate an upper bound of the true
-inf. Boxes are sampled on open grids, never on materialised meshes: an
-expression is evaluated un-broadcast and its extremum is taken there.
-Only the axes the expression reads are built; an unread axis is its first
-point, where the full grid's first maximum lies, and ``samples`` still
-counts the full grid. A ladder level checks its equations in order and
-stops at the first that fails (``check_I1`` and ``check_I0`` return both);
-so does each assignment a nonexistence check tries, so a growth ratio
-past the first failure is never sampled and cannot overflow. An index
-condition stops refining at its first failing round, which no later one can rescue.
+inf. Every box, index or nonexistence, is sampled by one rule: on an open
+grid, never a materialised mesh, with the expression evaluated un-broadcast.
+Only the axes it reads are built (a growth ratio also reads its own
+component); an unread axis is its first point, where the full grid's first
+maximum lies, and ``samples`` counts the full grid, a one-point range once.
+A ladder level checks its equations in order and stops at the first that
+fails (``check_I1`` and ``check_I0`` return both); so does each assignment
+a nonexistence check tries, so a growth ratio past the first failure is
+never sampled and cannot overflow. An index condition stops refining at
+its first failing round, which no later one can rescue.
 """
 
 from __future__ import annotations
@@ -137,6 +138,18 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
     return axis
 
 
+def _axes(bounds, reads, grid: int) -> tuple[list[np.ndarray], list[int]]:
+    """The open grid over ``bounds`` (t, u, v) and the full grid's size along each axis.
+
+    A variable in ``reads`` gets ``_axis``; an unread one is _axis's first point,
+    0 * step + lo (so -0.0 becomes +0.0), where the full grid's first maximum
+    lies. A one-point range is its point lo, -0.0 included, and counts once.
+    """
+    axes = [_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0 if hi > lo else lo])
+            for (lo, hi), name in zip(bounds, "tuv")]
+    return axes, [grid if hi > lo else 1 for lo, hi in bounds]
+
+
 def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
                   sign: float, until=None) -> ExtremumEstimate:
     """Maximize sign * expr over the box: coarse scan plus shrinking rescans.
@@ -151,11 +164,8 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
     ranges = (box.t_range, box.u_range, box.v_range)
 
     def scan(bounds):
-        # an unread axis is _axis's first point, 0 * step + lo (so -0.0 becomes
-        # +0.0), where the full grid's first maximum lies
-        axes = [_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0 if hi > lo else lo])
-                for (lo, hi), name in zip(bounds, "tuv")]
-        return *_scan(code, axes, sign), math.prod(grid if hi > lo else 1 for lo, hi in bounds)
+        axes, sizes = _axes(bounds, reads, grid)
+        return *_scan(code, axes, sign), math.prod(sizes)
 
     with np.errstate(all="raise", under="ignore"):
         best, loc, total = scan(ranges)
@@ -256,19 +266,20 @@ class Certificate:
                 )
 
 
-def _i1_box(rho: tuple[float, float]) -> Box3:
-    return Box3(t_range=(0.0, 1.0), u_range=(-rho[0], rho[0]), v_range=(-rho[1], rho[1]))
-
-
-def _i0_box(problem: Problem, rho: tuple[float, float], i: int, star: bool) -> Box3:
-    reach = [r / problem.c(j) for j, r in enumerate(rho, 1)]
-    for j, x in enumerate(reach, 1):
-        if not math.isfinite(x):
-            raise ValueError(f"condition I0{'star' if star else ''} for equation {i} at rho = "
-                             f"{rho!r}: rho_{j}/c_{j} overflows")
-    ranges = [(-x, x) for x in reach]
-    ranges[i - 1] = (0.0 if star else rho[i - 1], reach[i - 1])
-    return Box3(t_range=(0.0, problem.b(i)), u_range=ranges[0], v_range=ranges[1])
+def _index_box(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> Box3:
+    """The box of condition ``kind`` (I1, I0 or I0star) for equation i at rho; a
+    reach rho_j/c_j or a width that overflows is named by the condition and the radii."""
+    reach = [_ladder_bound(problem, "I1" if kind == "I1" else "I0", r, j)
+             for j, r in enumerate(rho, 1)]
+    ranges = [(-x, x) for x, _ in reach]
+    if kind != "I1":
+        ranges[i - 1] = (0.0 if kind == "I0star" else rho[i - 1], reach[i - 1][0])
+    for j, ((x, over), (lo, hi)) in enumerate(zip(reach, ranges), 1):
+        if not math.isfinite(hi - lo):  # a finite x overflows only as the width of (-x, x)
+            what = f"the box width 2*rho_{j}{over}" if math.isfinite(x) else f"rho_{j}{over}"
+            raise ValueError(f"condition {kind} for equation {i} at rho = {rho!r}: "
+                             f"{what} overflows")
+    return Box3((0.0, 1.0 if kind == "I1" else problem.b(i)), *ranges)
 
 
 def _radii(rho) -> tuple[float, float]:
@@ -309,7 +320,7 @@ def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | N
 def _check_one(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> ConditionResult:
     """One index condition (I1, I0 or I0star) of equation i at rho; refining stops once it fails."""
     sup = kind == "I1"
-    box = _i1_box(rho) if sup else _i0_box(problem, rho, i, kind == "I0star")
+    box = _index_box(problem, kind, rho, i)
     est = (box_sup if sup else box_inf)(
         problem.f[i - 1], box, until=lambda value: not _holds(problem, sup, i, value / rho[i - 1]))
     return _condition(problem, kind, i, rho, box, est)
@@ -471,60 +482,44 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     |w_i| >= NE_EXCLUSION * box scale and w_i != 0, as the condition requires.
     NE2: inf f_i / w_i > M_i over t in [0, b_i] and box samples with
     w_i > 0. When that holds and the box's w_i range holds 0, a sup > 0
-    (NE1) or an inf < 0 (NE2) of f_i on the plane w_i = 0, on the same t
-    and other axes, fails the condition with threshold 0.
+    (NE1) or an inf < 0 (NE2) of f_i on the plane w_i = 0, a box with the
+    same t and other ranges, fails the condition with threshold 0.
     """
     code, reads = _compiled(problem.f[i - 1])
-    own = box.u_range if i == 1 else box.v_range
-    other = box.v_range if i == 1 else box.u_range
-    scale = max(abs(own[0]), abs(own[1]))
+    ranges = [(0.0, 1.0 if kind == "NE1" else problem.b(i)), box.u_range, box.v_range]
+    lo, hi = own = ranges[i]
+    scale = max(abs(lo), abs(hi))
     if scale <= 0.0:
         raise ValueError(f"equation {i} component box {own!r} has zero scale")
     eps = max(NE_EXCLUSION * scale, math.ulp(0.0))  # a subnormal scale still excludes 0
-    axis = lambda lo, hi: _axis(lo, hi, n) if hi > lo else np.linspace(lo, hi, n)  # no overflow
+    if kind == "NE2":
+        ranges[i] = (max(lo, eps), hi)
+        if not hi >= ranges[i][0]:
+            raise ValueError(f"variant 2 needs positive samples of component {i}; "
+                             f"box {own!r} has none above {eps:g}")
+    axes, sizes = _axes(ranges, reads | {"tuv"[i]}, n)  # the ratio reads its own component
     if kind == "NE1":
-        t_hi = 1.0
         # never empty: the axis keeps both ends, and one has |w_i| = scale
-        own_axis = axis(own[0], own[1])
-        own_axis = own_axis[np.abs(own_axis) >= eps]
-    else:
-        t_hi = problem.b(i)
-        lo = max(own[0], eps)
-        if not own[1] >= lo:
-            raise ValueError(
-                f"variant 2 needs positive samples of component {i}; "
-                f"box {own!r} has none above {eps:g}"
-            )
-        own_axis = axis(lo, own[1])
-    # the ratio reads its own component; an unread t or other axis is
-    # linspace's first point, 0 * step + start (so -0.0 becomes +0.0)
-    t_axis, other_axis = (axis(start, stop) if name in reads else np.array([start + 0.0])
-                          for name, (start, stop) in (("t", (0.0, t_hi)), ("vu"[i - 1], other)))
-    u_axis, v_axis = (own_axis, other_axis) if i == 1 else (other_axis, own_axis)
+        axes[i] = axes[i][np.abs(axes[i]) >= eps]
+        sizes[i] = axes[i].size
     # variant 2 samples only w_i > 0, where |w_i| = w_i
     sign = 1.0 if kind == "NE1" else -1.0
     ratio = lambda tg, ug, vg: code(tg, ug, vg) / np.abs(ug if i == 1 else vg)
     try:
         with np.errstate(all="raise", under="ignore"):
-            best, loc = _scan(ratio, (t_axis, u_axis, v_axis), sign)
+            best, loc = _scan(ratio, axes, sign)
     except FloatingPointError:
         raise ValueError(f"condition {kind} for equation {i}: growth ratio "
                          f"f{i}/|{'uv'[i - 1]}| overflows") from None
-    est = ExtremumEstimate(
-        kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
-        samples=n * own_axis.size * n, refine_rounds=0,
-    )
+    est = ExtremumEstimate(kind="sup" if sign > 0 else "inf", value=sign * best, location=loc,
+                           samples=math.prod(sizes), refine_rounds=0)
     result = _condition(problem, kind, i, None, box, est)
-    if not (result.holds and own[0] <= 0.0 <= own[1]):
+    if not (result.holds and lo <= 0.0 <= hi):
         return result
-    plane = [t_axis, u_axis, v_axis]
-    plane[i] = np.array([0.0])  # the ratio leaves out w_i = 0, where f_i's sign matters
-    with np.errstate(all="raise", under="ignore"):
-        best, loc = _scan(code, plane, sign)
-    if best <= 0.0:
-        return result
-    est = replace(est, value=sign * best, location=loc, samples=n * n)
-    return replace(result, lhs=sign * best, threshold=0.0, holds=False, estimate=est)
+    ranges[i] = (0.0, 0.0)  # the ratio leaves out w_i = 0, where f_i's sign matters
+    est = _box_extremum(problem.f[i - 1], Box3(*ranges), n, 0, sign)
+    return result if sign * est.value <= 0.0 else replace(
+        result, lhs=est.value, threshold=0.0, holds=False, estimate=est)
 
 
 # nonexistence variant -> the (equation 1, equation 2) growth kinds to try, in order

@@ -327,8 +327,9 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     damped point P = (1 - damping) x + damping T(x) less sum_i gamma_i dP_i,
     gamma the least-squares fit of the defect F = T(x) - x by its last
     ``_MEMORY`` differences dF_i (type II, Walker & Ni), kept with those of P
-    in (m, 2n) ring buffers: one ``apply_T`` call, and one matmul each for
-    the new Gram row, the right-hand side and the mixing. It stops when
+    in (m, 2n) ring buffers, a pair whose dF passes 2^500 scaled by a power of
+    two so that its Gram row stays finite: one ``apply_T`` call, and one matmul
+    each for the new Gram row, the right-hand side and the mixing. It stops when
     ||F||_inf <= ``tol`` (finite, > 0), or <= 8 ulps of ||T(x)||_inf where
     that is larger (no defect settles below the spacing of its doubles), and
     returns that iterate with ||F||_inf as residual_sup. A mixed point where
@@ -348,7 +349,7 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
         raise ValueError(f"init shapes {u.shape}, {v.shape} do not match the grid "
                          f"({grid.nodes.shape})")
     x = np.concatenate((u, v))
-    dF, dP = np.zeros((2, _MEMORY, 2 * n))
+    dF, dP = ring = np.zeros((2, _MEMORY, 2 * n))
     order, gram = [], []  # the ring slots in use, newest first, and their Gram matrix
     iterations, P = 0, None
     while True:
@@ -372,6 +373,9 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
             j = iterations % _MEMORY
             np.subtract(F, F_last, out=dF[j])
             np.subtract(P, P_last, out=dP[j])
+            big = float(abs(dF[j]).max())
+            if big > 2.0 ** 500:  # exact; gamma_j scales back, so gamma_j dP_j is unchanged
+                ring[:, j] *= 2.0 ** -math.frexp(big)[1]
             with np.errstate(over="ignore", invalid="ignore"):  # inf or nan turns mixing off
                 row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
             order = [j] + order[:_MEMORY - 1]

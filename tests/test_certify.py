@@ -31,6 +31,7 @@ from fraccert.certify import (
     search_certificate,
 )
 from fraccert.exprlang import DivisionByZero, DomainError, Num, Overflow, Var, parse, pretty
+from fraccert.problem import Options, Problem
 from fraccert.solver import build_grid, solve_picard
 from test_exprlang import _branches, _fault_trees, _trees
 
@@ -234,6 +235,17 @@ def _span(ends):
 
 _parity_boxes = st.builds(Box3, _span(st.integers(0, 10).map(lambda k: k / 10)),
                           _span(_tenths), _span(_tenths))
+
+
+def _plane_trees(name):
+    """A tree times a bump that is 0 for |w_i| >= 1e-9, alone (NE1 holds on the
+    ratio) or over 1000*w_i (NE2 holds on it), so the plane w_i = 0 decides."""
+    return st.tuples(_parity_trees, st.sampled_from(["", f"1000*{name} + "])).map(
+        lambda p: parse(f"{p[1]}({pretty(p[0])})*max(0, 1 - 1e9*abs({name}))"))
+
+
+# NE ranges: often one point, with -0.0 ends, and often holding the plane w_i = 0
+_ne_ranges = _span(_tenths | st.just(-0.0)) | _tenths.map(lambda x: (-abs(x), abs(x)))
 
 
 class TestOpenGridParity:
@@ -462,7 +474,7 @@ class TestEarlyStop:
             options=dataclasses.replace(base_problem.options, margin=margin))
         for kind, i in ((kind, i) for kind in ("I1", "I0", "I0star") for i in (1, 2)):
             sup = kind == "I1"
-            box = certify._i1_box(rho) if sup else certify._i0_box(problem, rho, i, kind == "I0star")
+            box = certify._index_box(problem, kind, rho, i)
             full = certify._condition(problem, kind, i, rho, box,
                                       (box_sup if sup else box_inf)(problem.f[i - 1], box))
             early = certify._check_one(problem, kind, rho, i)
@@ -589,6 +601,27 @@ class TestIndexConditions:
     def test_I0_box_overflow_named(self, make_problem, check, message):
         # c_1 = 0.0183 and c_2 = 0.00257, so rho_j/c_j passes 1.8e308 first for j = 2;
         # the box the user never wrote, (-inf, inf), is not what the error names
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                check(make_problem("0", "0"))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda p: check_I1(p, 1e308, 1.0),
+         "condition I1 for equation 1 at rho = (1e+308, 1.0): the box width 2*rho_1 overflows"),
+        (lambda p: check_I0(p, 1.0, 3e305),
+         "condition I0 for equation 1 at rho = (1.0, 3e+305): the box width 2*rho_2/c_2 overflows"),
+        (lambda p: check_I0_star(p, 2e306, 1.0, 2),
+         "condition I0star for equation 2 at rho = (2e+306, 1.0): the box width 2*rho_1/c_1 "
+         "overflows"),
+        (lambda p: check_pattern(p, "S1", [(2e306, 1.0), (1.5e308, 1000.0)]),
+         "condition I0star for equation 2 at rho = (2e+306, 1.0): the box width 2*rho_1/c_1 "
+         "overflows"),
+    ], ids=["I1", "I0", "I0star", "starred-fallback"])
+    def test_box_width_overflow_named(self, make_problem, check, message):
+        # rho_j or rho_j/c_j is finite, but the width of (-rho_j, rho_j) or
+        # (-rho_j/c_j, rho_j/c_j) is not; the error names the condition, not a box
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
@@ -961,9 +994,47 @@ class TestNonexistence:
     @example((-1e-6, 1e-6), (5e-324, 5e-324), 3)
     @example((0.0, 1.0), (0.0, 1.7976931348623157e308), 4)  # linspace's last step overflows
     def test_NE1_never_short_of_samples(self, make_problem, u, v, n):
-        # linspace keeps both ends, and one of them has |w_i| = scale, past the slab
+        # linspace keeps both ends, and one of them has |w_i| = scale, past the slab;
+        # a one-point range is one sample
         cert = check_nonexistence(make_problem("0", "0"), 1, Box3((0.0, 1.0), u, v), n)
-        assert [cond.estimate.samples >= n * n for cond in cert.conditions] == [True, True]
+        for cond, own, other in zip(cert.conditions, (u, v), (v, u)):
+            eps = max(certify.NE_EXCLUSION * max(abs(own[0]), abs(own[1])), math.ulp(0.0))
+            with np.errstate(over="ignore"):  # linspace's last step may overflow
+                kept = int(np.count_nonzero(np.abs(np.linspace(*own, n)) >= eps))
+            kept = kept if own[1] > own[0] else 1
+            assert kept >= 1
+            assert cond.estimate.samples == n * kept * (n if other[1] > other[0] else 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_parity_trees, _plane_trees("u")), st.one_of(_parity_trees, _plane_trees("v")),
+           _ne_ranges, _ne_ranges, st.integers(3, 9))
+    @example(parse("max(0, 1 - 1e9*abs(u))"), Num(0.0), (-1.0, 1.0), (-0.0, -0.0), 3)
+    @example(parse("1000*u - t*max(0, 1 - 1e9*abs(u))"), parse("v"), (-0.0, 2.0), (0.5, 0.5), 5)
+    def test_ratio_and_plane_follow_the_box_rules(self, base_problem, f1, f2, u, v, n):
+        # the plane is a _box_extremum call without refinement; the ratio's samples
+        # count the open grid it scanned, a one-point range once
+        problem = dataclasses.replace(base_problem, f=(f1, f2), f_text=(pretty(f1), pretty(f2)))
+        for kind, i in ((kind, i) for kind in ("NE1", "NE2") for i in (1, 2)):
+            try:
+                res = certify._ne_condition(problem, kind, i, Box3((0.0, 1.0), u, v), n)
+            except ValueError:  # a zero scale, or no positive samples for NE2
+                continue
+            ranges = [(0.0, 1.0 if kind == "NE1" else problem.b(i)), u, v]
+            if res.threshold == 0.0:
+                assert not res.holds
+                ranges[i] = (0.0, 0.0)
+                plane = certify._box_extremum(problem.f[i - 1], Box3(*ranges), n, 0,
+                                              1.0 if kind == "NE1" else -1.0)
+                assert repr(res.estimate) == repr(plane)  # the signs of zeros too
+                continue
+            lo, hi = ranges[i]
+            eps = max(certify.NE_EXCLUSION * max(abs(lo), abs(hi)), math.ulp(0.0))
+            if kind == "NE1":
+                own = np.count_nonzero(np.abs(np.linspace(lo, hi, n)) >= eps) if hi > lo else 1
+            else:
+                own = n if hi > max(lo, eps) else 1
+            other = n if ranges[3 - i][1] > ranges[3 - i][0] else 1
+            assert res.estimate.samples == n * own * other
 
     def test_zero_scale_box_rejected(self, make_problem):
         problem = make_problem("0.6*abs(u)", "0.5*abs(v)")
@@ -989,6 +1060,19 @@ class TestNonexistence:
             with pytest.raises(ValueError, match=rf"^condition NE{variant} for equation 1: "
                                                  r"growth ratio f1/\|u\| overflows$"):
                 check_nonexistence(problem, variant, box)
+
+
+class TestProblemChecks:
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Options(margin=-1.0)
+        assert str(info.value) == "margin must be >= 0, got -1.0"
+
+    def test_thresholds_need_constants(self, params1, params2):
+        problem = Problem.build((params1, params2), ("10", "10"), with_constants=False)
+        with pytest.raises(ValueError) as info:
+            problem.m_used(1)
+        assert str(info.value) == "problem was built without threshold constants"
 
 
 class TestRevalidation:

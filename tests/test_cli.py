@@ -550,6 +550,24 @@ class TestCertifyCommand:
         assert captured.err == ("error: ValueError: condition I0 for equation 1 at "
                                 "rho = (1e+306, 1e+306): rho_2/c_2 overflows\n")
 
+    @pytest.mark.parametrize("pattern, ladder, err", [
+        ("S2", "1e308,1.5e308", "condition I1 for equation 1 at rho = (1e+308, 1e+308): "
+                                "the box width 2*rho_1 overflows"),
+        ("S1", "2e306,1,1.5e308,1000", "condition I0star for equation 2 at rho = (2e+306, 1.0): "
+                                       "the box width 2*rho_1/c_1 overflows"),
+    ], ids=["I1", "I0star"])
+    def test_overflowing_box_width_named_exit_1(self, tmp_path, capsys, pattern, ladder, err):
+        # rho_1 (or rho_1/c_1) is finite but twice it is not: the error names the
+        # condition and the radii, not a box the user never wrote
+        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="0", f2="0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", cfg, "--pattern", pattern, "--ladder", ladder])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {err}\n"
+
     @pytest.mark.parametrize("argv, err", [
         (["NE1", "--box=a,1,2,3"], "--box: could not convert string to float: 'a'"),
         (["S1", "--search", "1:x:3"], "--search: could not convert string to float: 'x'"),
@@ -796,8 +814,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("init", ["const:1e160,1e160", "const:1e300,-1e300"])
     def test_huge_init_overflows_no_warning(self, tmp_path, capsys, init):
-        # the Gram row of differences near 1e160 overflows in the dot product:
-        # mixing is off for those steps, and no RuntimeWarning is printed
+        # differences near 1e160 are stored scaled by a power of two, so the Gram
+        # row stays finite, and no RuntimeWarning is printed
         out = tmp_path / "sol.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

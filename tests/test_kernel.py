@@ -188,6 +188,12 @@ class TestConeConstant:
         for p in (params1, params2):
             assert 0.0 < compute_c(p) <= 1.0
 
+    def test_out_of_range_raises(self):
+        # beta*Gamma(alpha) > 1 and b < eta: validate_params rejects this tuple,
+        # compute_c takes it as given and names the value it reached
+        with pytest.raises(ParamError, match=r"^cone constant fell outside \(0, 1\]: -5\.319"):
+            compute_c(ProblemParams(1.5, 0.9, 0.5, 0.6))
+
 
 class TestGamma:
     # Gamma(alpha) rounded to double from 40-digit arithmetic, with one

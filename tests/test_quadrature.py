@@ -269,6 +269,13 @@ class TestConstants:
             replace(constants1, M=constants1.M_hat * (1.0 + 1e-9))
         replace(constants1, m=constants1.m_hat, M=constants1.M_hat)
 
+    def test_lost_positivity_raises(self):
+        # eta = 0 and b = 0.9: the kernel row integral goes negative on [0, b]
+        model = KernelModel(ProblemParams(1.5, 0.01, 0.0, 0.9), 0.5, math.gamma(1.5))
+        with pytest.raises(ValueError) as info:
+            compute_M(model)
+        assert str(info.value) == "kernel integral lost positivity on [0, b]: inf = -6.333e-01"
+
     def test_compute_constants_consistent(self, model1, constants1):
         rep = compute_constants(model1)
         assert isinstance(rep, ConstantsReport)

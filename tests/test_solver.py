@@ -666,6 +666,16 @@ class TestAndersonMixing:
         with pytest.raises(DomainError):
             solve_picard(grid64, parse("sqrt(u + 0.3)*6"), parse("sqrt(v + 0.3)*6"))
 
+    @pytest.mark.parametrize("start, steps", [((1e160, 1e160), 13), ((1e300, -1e300), 200),
+                                              ((1.7e308, 1.7e308), 200)],
+                             ids=["1e160", "1e300", "1.7e308"])
+    def test_huge_states_keep_mixing(self, grid16, start, steps):
+        # differences above 2^500 are stored scaled by a power of two, so the Gram
+        # row stays finite; with mixing off these took 27 steps, and over 200 twice
+        init = np.array([np.full(16, x) for x in start])
+        sol = solve_picard(grid16, parse("10"), parse("10"), init=init)
+        assert sol.converged and sol.iterations <= steps
+
     def test_s3_plateau_starts_reach_three_states(self, model1, model2):
         grid = build_grid((model1, model2), 201)
         f1, f2 = parse(S3_F1), parse(S3_F2)
