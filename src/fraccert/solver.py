@@ -18,7 +18,7 @@ rank-one term), which one routine integrates. No dense matrix is formed.
 Cone membership takes the minimum over the nodes in [0, b] and the
 interpolant at b. The fixed point itself is found by Picard iteration
 with Anderson mixing on one stacked state, each step one ``apply_T``
-call; non-convergence is a flagged outcome, never an exception.
+call; non-convergence is flagged, and an overflowing defect raised.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class GridSolution:
     ``residual_sup`` is the defect max_i ||w_i - T(u, v)_i||_inf
     of the returned state and ``tol`` the tolerance applied to it (the
     requested one, or the rounding floor where that is larger), so
-    converged implies residual_sup <= tol.
+    converged implies residual_sup <= tol; both are finite.
     """
 
     grid: SystemGrid
@@ -317,6 +317,7 @@ def _mixing_coefficients(gram: list[list[float]], rhs: list[float]) -> list[floa
     return y if math.isfinite(sum(y)) else []
 
 
+@np.errstate(over="raise", invalid="raise")  # entered once per call: no cost per step
 def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
                  init: tuple[np.ndarray, np.ndarray] | None = None,
                  tol: float = 1e-12, max_iter: int = 200,
@@ -327,14 +328,15 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     damped point P = (1 - damping) x + damping T(x) less sum_i gamma_i dP_i,
     gamma the least-squares fit of the defect F = T(x) - x by its last
     ``_MEMORY`` differences dF_i (type II, Walker & Ni), kept with those of P
-    in (m, 2n) ring buffers, a pair whose dF passes 2^500 scaled by a power of
-    two so that its Gram row stays finite: one ``apply_T`` call, and one matmul
-    each for the new Gram row, the right-hand side and the mixing. It stops when
-    ||F||_inf <= ``tol`` (finite, > 0), or <= 8 ulps of ||T(x)||_inf where
-    that is larger (no defect settles below the spacing of its doubles), and
-    returns that iterate with ||F||_inf as residual_sup. A mixed point where
-    f1 or f2 faults is replaced by P; a fault elsewhere is raised. Exhausting
-    ``max_iter`` steps, or a non-finite defect, gives converged=False.
+    in (m, 2n) ring buffers; a pair (formed from halves if it overflows) whose dF
+    passes 2^500, and F past 2^500 in the right-hand side, are scaled by a power
+    of two, so no Gram entry or right-hand side overflows: one ``apply_T`` call,
+    and one matmul each for the new Gram row, the right-hand side and the mixing.
+    It stops when ||F||_inf <= ``tol`` (finite, > 0), or <= 8 ulps of
+    ||T(x)||_inf where that is larger, and returns that iterate with ||F||_inf
+    as residual_sup. A mixed point that leaves the double range, or where f1,
+    f2 or T faults, is replaced by P; a fault elsewhere is raised (an overflow
+    as a ValueError naming the step). ``max_iter`` steps give converged=False.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping!r}")
@@ -355,38 +357,48 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     while True:
         try:
             Tx = np.concatenate(apply_T(grid, f1, f2, x[:n], x[n:]))
-        except EvalError:
-            if x is P or P is None:
+            F = Tx - x
+        except (EvalError, FloatingPointError) as exc:
+            if x is not P and P is not None:
+                x = P  # the mixed point left f's domain or T's range; P lies between x and T(x)
+                continue
+            if isinstance(exc, EvalError):
                 raise
-            x = P  # the mixed point left f's domain; P lies between x and T(x)
-            continue
-        F = Tx - x
+            raise ValueError(f"T(x) - x overflows at iteration {iterations}") from None
         residual = float(abs(F).max())
         applied = max(tol, 8.0 * float(np.spacing(abs(Tx).max())))
-        converged = math.isfinite(residual) and residual <= applied
-        if converged or not math.isfinite(residual) or iterations >= max_iter:
+        converged = residual <= applied
+        if converged or iterations >= max_iter:
             return GridSolution(grid=grid, u_values=x[:n], v_values=x[n:],
                                 residual_sup=residual, iterations=iterations,
                                 converged=converged, damping=damping, tol=applied)
         x = P = F * (damping - 1.0) + Tx  # (1 - damping) x + damping T(x)
         if iterations:
             j = iterations % _MEMORY
-            np.subtract(F, F_last, out=dF[j])
-            np.subtract(P, P_last, out=dP[j])
+            try:
+                np.subtract(F, F_last, out=dF[j])
+                np.subtract(P, P_last, out=dP[j])
+            except FloatingPointError:  # halves are exact, and the 2^500 rule scales them
+                np.subtract(F / 2.0, F_last / 2.0, out=dF[j])
+                np.subtract(P / 2.0, P_last / 2.0, out=dP[j])
             big = float(abs(dF[j]).max())
             if big > 2.0 ** 500:  # exact; gamma_j scales back, so gamma_j dP_j is unchanged
                 ring[:, j] *= 2.0 ** -math.frexp(big)[1]
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or nan turns mixing off
-                row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
+            # F enters the right-hand side scaled in the same way, and gamma with it
+            e = math.frexp(residual)[1] if residual > 2.0 ** 500 else 0
+            row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, np.ldexp(F, -e) if e else F).tolist()
             order = [j] + order[:_MEMORY - 1]
             gram = [[row[a] for a in order]] + [[row[a]] + r[:len(order) - 1]
                                                 for a, r in zip(order[1:], gram)]
             gamma = _mixing_coefficients(gram, [rhs[a] for a in order])
             del order[len(gamma):]
             if gamma:  # gamma by ring slot, 0 where a slot is not in use
-                x = np.dot([gamma[order.index(a)] if a in order else 0.0
-                            for a in range(_MEMORY)], dP)
-                np.subtract(P, x, out=x)
+                try:
+                    x = np.matmul([gamma[order.index(a)] if a in order else 0.0
+                                   for a in range(_MEMORY)], dP)  # a ufunc: flags overflow
+                    np.subtract(P, np.ldexp(x, e) if e else x, out=x)
+                except FloatingPointError:
+                    x = P  # the mixed point left the double range
         F_last, P_last = F, P
         iterations += 1
 

@@ -112,14 +112,16 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, mutate))
         assert cfg.params[0].b == 0.875
 
-    def test_b_falls_back_to_eta(self, tmp_path):
+    def test_b_falls_back_to_eta(self, tmp_path, capsys):
         # the midpoint 0.875 violates the interval condition for beta=0.2,
         # so the loader falls back to the always-admissible b = eta
         def mutate(c):
             c["equations"][0] = {"alpha": 1.5, "beta": 0.2, "eta": 0.75}
 
-        cfg = load_config(write_config(tmp_path, mutate))
-        assert cfg.params[0].b == 0.75
+        path = write_config(tmp_path, mutate)
+        assert load_config(path).params[0].b == 0.75
+        assert main(["constants", "--config", path]) == 0
+        assert '"b": 0.75,' in capsys.readouterr().out
 
     def test_omitted_b_without_admissible_default(self, tmp_path, capsys):
         # eta = 0 makes the fallback b = eta a point interval; the message
@@ -815,14 +817,15 @@ class TestSolveCommand:
     @pytest.mark.parametrize("init", ["const:1e160,1e160", "const:1e300,-1e300"])
     def test_huge_init_overflows_no_warning(self, tmp_path, capsys, init):
         # differences near 1e160 are stored scaled by a power of two, so the Gram
-        # row stays finite, and no RuntimeWarning is printed
+        # row stays finite, mixing stays on, and no RuntimeWarning is printed
         out = tmp_path / "sol.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["solve", "--config", REF, "--grid", "16", "--init", init,
                        "--out", str(out)])
         captured = capsys.readouterr()
-        assert rc in (0, 2)  # converged or not, the run completes
+        assert rc == 0
+        assert json.loads(captured.out)["converged"] is True
         assert "Warning" not in captured.err
 
     @pytest.mark.parametrize("init", ["const:nan,0", "const:1e999,0", "const:0,-inf", "file"])
@@ -894,6 +897,42 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             "error: ValueError: tol must be finite and > 0, got inf\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("equation, f, init", [
+        ({"alpha": 1.0206346419407315, "beta": 0.4793025377737877, "eta": 0.9144134652258156,
+          "b": 0.9144134652258157}, {"f1": "1.7e308"}, "const:0,0"),
+        (None, {"f1": "u", "f2": "u"}, "const:1.7e308,-1.7e308"),
+    ], ids=["W-f", "T-minus-x"])
+    def test_overflowing_defect_exit_1(self, tmp_path, capsys, equation, f, init):
+        # W f (1/m = 1.38 here) or T(x) - x passes the largest double: one named
+        # line, raised before any file is written, and no RuntimeWarning
+        def mutate(c):
+            c["nonlinearities"].update(f)
+            if equation is not None:
+                c["equations"][0] = equation
+
+        cfg = write_config(tmp_path, mutate)
+        (tmp_path / "out").mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", cfg, "--grid", "16", "--init", init,
+                       "--out", str(tmp_path / "out" / "sol.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: T(x) - x overflows at iteration 0\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("n", [8, 801, 3201])
+    def test_grid_end_to_end(self, tmp_path, capsys, n):
+        # on every numpy build, where the frozen digests need numpy 2: at 8 nodes
+        # the first four columns, the Toeplitz part and the last row overlap;
+        # 3201 nodes in O(n) storage, where two dense weight matrices took 164 MB
+        out = tmp_path / "sol.csv"
+        rc = main(["solve", "--config", REF, "--grid", str(n), "--out", str(out)])
+        meta = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert meta["converged"] and meta["nodes"] == n
+        assert len(out.read_text(encoding="utf-8").splitlines()) == n + 1
 
     def test_grid_too_small_exit_1(self, tmp_path, capsys):
         rc = main(["solve", "--config", REF, "--grid", "4",
