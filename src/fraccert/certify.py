@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exprlang import Expr, _compiled
+from .kernel import RANGE, RANGE_RULE, in_range
 from .problem import Problem
 
 __all__ = [
@@ -70,11 +71,13 @@ __all__ = [
 # relative width of the slab |w_i| < eps excluded from variant-1
 # nonexistence sampling (the condition quantifies over w_i != 0)
 NE_EXCLUSION = 1e-6
+_BOX_TOP = 2.0 * RANGE ** 2  # the largest magnitude of a box end
 
 
 @dataclass(frozen=True)
 class Box3:
-    """Axis-aligned sampling box for (t, u, v); the t range stays in [0, 1]."""
+    """Axis-aligned sampling box for (t, u, v); the t range stays in [0, 1]. Each end is 0
+    or of magnitude in [1/RANGE, 2 RANGE^2]: room for rho/c at a search's top point past hi."""
 
     t_range: tuple[float, float]
     u_range: tuple[float, float]
@@ -83,10 +86,9 @@ class Box3:
     def __post_init__(self):
         for name, (lo, hi) in (("t_range", self.t_range), ("u_range", self.u_range),
                                ("v_range", self.v_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"box {name} = ({lo!r}, {hi!r}) is not a finite ordered pair")
-            if not math.isfinite(hi - lo):
-                raise ValueError(f"box {name} = ({lo!r}, {hi!r}) is too wide: hi - lo overflows")
+            if not (lo <= hi and in_range(lo, _BOX_TOP) and in_range(hi, _BOX_TOP)):
+                raise ValueError(f"box {name} = ({lo!r}, {hi!r}) is not an ordered pair of ends "
+                                 "0 or of magnitude in [2^-480, 2^961]")
         if not (0.0 <= self.t_range[0] and self.t_range[1] <= 1.0):
             raise ValueError(f"box t_range {self.t_range!r} must lie within [0, 1]")
 
@@ -126,14 +128,10 @@ def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float]]:
 
 
 def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
-    """``np.linspace(lo, hi, grid)`` bit for bit, or the single point lo."""
+    """``np.linspace(lo, hi, grid)`` bit for bit at a normal step, or the single point lo."""
     if hi <= lo:
         return np.array([lo])
-    axis, step = np.arange(grid, dtype=float), (hi - lo) / (grid - 1)
-    if step == 0.0:  # a subnormal width: linspace divides before it scales
-        axis = axis / (grid - 1) * (hi - lo) + lo
-    else:  # not (grid - 1) * step, which may overflow near the largest double
-        axis[:-1] = axis[:-1] * step + lo
+    axis = np.arange(grid, dtype=float) * ((hi - lo) / (grid - 1)) + lo
     axis[-1] = hi
     return axis
 
@@ -155,7 +153,7 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
     """Maximize sign * expr over the box: coarse scan plus shrinking rescans.
 
     Rescans stop when every half-width is below 1e-15 or ``until(value)`` holds.
-    Box3 checked the box once (finite ends and width), so the compiled code
+    Box3 checked the box once (ends in range), so the compiled code
     runs unchecked on its axes, in one errstate block for all rounds.
     """
     if grid < 3:
@@ -267,27 +265,20 @@ class Certificate:
 
 
 def _index_box(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> Box3:
-    """The box of condition ``kind`` (I1, I0 or I0star) for equation i at rho; a
-    reach rho_j/c_j or a width that overflows is named by the condition and the radii."""
-    reach = [_ladder_bound(problem, "I1" if kind == "I1" else "I0", r, j)
+    """The box of condition ``kind`` (I1, I0 or I0star) for equation i at rho."""
+    reach = [_ladder_bound(problem, "I1" if kind == "I1" else "I0", r, j)[0]
              for j, r in enumerate(rho, 1)]
-    ranges = [(-x, x) for x, _ in reach]
+    ranges = [(-x, x) for x in reach]
     if kind != "I1":
-        ranges[i - 1] = (0.0 if kind == "I0star" else rho[i - 1], reach[i - 1][0])
-    for j, ((x, over), (lo, hi)) in enumerate(zip(reach, ranges), 1):
-        if not math.isfinite(hi - lo):  # a finite x overflows only as the width of (-x, x)
-            what = f"the box width 2*rho_{j}{over}" if math.isfinite(x) else f"rho_{j}{over}"
-            raise ValueError(f"condition {kind} for equation {i} at rho = {rho!r}: "
-                             f"{what} overflows")
+        ranges[i - 1] = (0.0 if kind == "I0star" else rho[i - 1], reach[i - 1])
     return Box3((0.0, 1.0 if kind == "I1" else problem.b(i)), *ranges)
 
 
 def _radii(rho) -> tuple[float, float]:
-    if isinstance(rho, (int, float)):
-        rho = (float(rho), float(rho))
+    rho = (rho, rho) if isinstance(rho, (int, float)) else rho
     rho = (float(rho[0]), float(rho[1]))
-    if any(not (math.isfinite(r) and r > 0.0) for r in rho):
-        raise ValueError(f"radii must be positive finite, got {rho!r}")
+    if not all(r > 0.0 and in_range(r) for r in rho):
+        raise ValueError(f"radii must be positive, of {RANGE_RULE}, got {rho!r}")
     return rho
 
 
@@ -445,9 +436,10 @@ def search_certificate(problem: Problem, pattern: str, lo: float, hi: float,
     when the grid is exhausted; that outcome is normal, not an error.
     """
     kinds = _kinds(pattern)
-    if not (lo > 0.0 and hi > lo and points >= 2 and math.isfinite(lo * (hi / lo))):
-        raise ValueError(f"need 0 < lo < hi and points >= 2 with the top grid point "
-                         f"lo * (hi/lo) finite, got lo={lo!r}, hi={hi!r}, points={points!r}")
+    lo, hi = _radii((lo, hi))
+    if not (lo < hi and points >= 2):
+        raise ValueError(f"need 0 < lo < hi and points >= 2, got lo={lo!r}, hi={hi!r}, "
+                         f"points={points!r}")
     grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
 
     @functools.cache  # a level's outcome at one radius, held or failed (None)
@@ -491,7 +483,7 @@ def _ne_condition(problem: Problem, kind: str, i: int, box: Box3, n: int) -> Con
     scale = max(abs(lo), abs(hi))
     if scale <= 0.0:
         raise ValueError(f"equation {i} component box {own!r} has zero scale")
-    eps = max(NE_EXCLUSION * scale, math.ulp(0.0))  # a subnormal scale still excludes 0
+    eps = NE_EXCLUSION * scale
     if kind == "NE2":
         ranges[i] = (max(lo, eps), hi)
         if not hi >= ranges[i][0]:

@@ -28,8 +28,8 @@ import numpy as np
 from .certify import (Box3, Certificate, ConditionFailed, PATTERNS, box_inf,
                       check_nonexistence, check_pattern, search_certificate)
 from .exprlang import EvalError, ExprError, parse
-from .kernel import (IntervalChoiceViolated, KernelBoundError, ProblemParams, check_params,
-                     default_interval_end, kernel_values, phi_values)
+from .kernel import (RANGE_RULE, IntervalChoiceViolated, KernelBoundError, ProblemParams,
+                     check_params, default_interval_end, in_range, kernel_values, phi_values)
 from .problem import Options, Problem
 from .solver import build_grid, cone_metrics, interpolate_nodes, solve_picard
 
@@ -270,9 +270,13 @@ def _cmd_constants(args) -> int:
 
 def _numbers(flag: str, parts, types=itertools.repeat(float)) -> list:
     try:
-        return [kind(x) for kind, x in zip(types, parts)]
-    except ValueError as exc:
+        vals = [kind(x) for kind, x in zip(types, parts)]
+    except (TypeError, ValueError) as exc:  # a short CSV row reads None
         raise ValueError(f"{flag}: {exc}") from exc
+    for x in vals:
+        if not in_range(x):
+            raise ValueError(f"{flag}: {x!r} is neither 0 nor of {RANGE_RULE}")
+    return vals
 
 
 def _parse_ladder(text: str, levels: int) -> list[tuple[float, float]]:
@@ -347,8 +351,6 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise ValueError("--init const form expects const:a,b")
         a, b = _numbers("--init", parts)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"--init values must be finite, got {text!r}")
         return np.full(grid.nodes.size, a), np.full(grid.nodes.size, b)
     if text.startswith("file:"):
         path = text[len("file:"):]
@@ -356,11 +358,10 @@ def _parse_init(text: str, grid) -> tuple[np.ndarray, np.ndarray]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"t", "u", "v"} <= set(reader.fieldnames):
                 raise ValueError(f"--init file {path} must have columns t,u,v")
-            rows = np.array(sorted((float(r["t"]), float(r["u"]), float(r["v"])) for r in reader))
+            rows = np.array(sorted(_numbers(f"--init file {path}", map(r.get, "tuv"))
+                                   for r in reader))
         if len(rows) < 4:
             raise ValueError(f"--init file {path} needs at least 4 rows")
-        if not np.isfinite(rows).all():
-            raise ValueError(f"--init file {path} holds a non-finite value")
         ts, us, vs = rows.T
         repeats = ts[1:][ts[1:] == ts[:-1]]
         if repeats.size:
@@ -499,6 +500,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out}: its directory does not exist")
         return args.fn(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

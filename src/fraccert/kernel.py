@@ -4,7 +4,8 @@ Each equation of the system is determined by a parameter tuple
 (alpha, beta, eta, b): the fractional order alpha in (1, 2], the weight
 beta > 0 of the nonlocal derivative term, the interior evaluation point
 eta in [0, 1), and the right endpoint b of the interval [0, b] on which
-solutions stay above a fixed fraction of their sup-norm.
+solutions stay above a fixed fraction of their sup-norm. Each, like every
+number a user gives, is 0 or of magnitude in [1/RANGE, RANGE].
 
 The kernel is
 
@@ -45,6 +46,8 @@ __all__ = [
     "FocusCaseViolated",
     "IntervalChoiceViolated",
     "KernelBoundError",
+    "RANGE",
+    "in_range",
     "ProblemParams",
     "validate_params",
     "check_params",
@@ -57,6 +60,15 @@ __all__ = [
     "BoundReport",
     "verify_kernel_bounds",
 ]
+
+
+RANGE = 2.0 ** 480
+RANGE_RULE = "magnitude in [2^-480, 2^480]"
+
+
+def in_range(x, top: float = RANGE) -> bool:
+    """x is 0 or its magnitude lies in [1/RANGE, top]: never nan or an infinity."""
+    return x == 0.0 or 1.0 / RANGE <= abs(x) <= top
 
 
 class ParamError(ValueError):
@@ -101,8 +113,8 @@ def check_params(alpha: float, beta: float, eta: float, b: float) -> list[tuple[
     """Collect every violated admissibility condition as an (error class, message) pair."""
     problems: list[tuple[type[ParamError], str]] = []
     for name, val in (("alpha", alpha), ("beta", beta), ("eta", eta), ("b", b)):
-        if not (isinstance(val, (int, float)) and math.isfinite(float(val))):
-            problems.append((ParamError, f"{name} must be a finite real number, got {val!r}"))
+        if not (isinstance(val, (int, float)) and in_range(val)):
+            problems.append((ParamError, f"{name} must be 0 or of {RANGE_RULE}, got {val!r}"))
     if problems:
         return problems
     alpha, beta, eta, b = float(alpha), float(beta), float(eta), float(b)
@@ -178,7 +190,7 @@ def phi_values(p: ProblemParams, s) -> np.ndarray:
 
 
 def compute_c(p: ProblemParams) -> float:
-    """Cone constant c in (0, 1] with k(t, s) >= c * Phi(s) on [0, b] x [0, 1].
+    """Cone constant c in [1/RANGE, 1] with k(t, s) >= c * Phi(s) on [0, b] x [0, 1].
 
     c = min( (bG - d) / ((1-eta)^(alpha-1) - bG),
              (bG - d) / (bG + eta^(alpha-1)) ),
@@ -190,8 +202,8 @@ def compute_c(p: ProblemParams) -> float:
     bg = p.beta * g
     num = bg - (p.b - p.eta) ** e
     c = min(num / ((1.0 - p.eta) ** e - bg), num / (bg + p.eta**e))
-    if not 0.0 < c <= 1.0:
-        raise ParamError(f"cone constant fell outside (0, 1]: {c!r}")
+    if not 1.0 / RANGE <= c <= 1.0:
+        raise ParamError(f"cone constant fell outside [2^-480, 1]: {c!r}")
     return c
 
 
@@ -204,7 +216,7 @@ TOL = 1e-10
 class KernelModel:
     """A validated kernel with its cone constant.
 
-    Invariants (enforced by build_model): c in (0, 1], and the envelope
+    Invariants (enforced by build_model): c in [1/RANGE, 1], and the envelope
     bounds pass on the GRID x GRID sample within TOL (not a proof).
     """
 

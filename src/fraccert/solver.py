@@ -18,7 +18,7 @@ rank-one term), which one routine integrates. No dense matrix is formed.
 Cone membership takes the minimum over the nodes in [0, b] and the
 interpolant at b. The fixed point itself is found by Picard iteration
 with Anderson mixing on one stacked state, each step one ``apply_T``
-call; non-convergence is flagged, and an overflowing defect raised.
+call; non-convergence is flagged, and a state or defect past RANGE raised.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exprlang import EvalError, Expr, eval_exprs
-from .kernel import KernelModel
+from .kernel import RANGE, KernelModel
 
 __all__ = [
     "SystemGrid",
@@ -328,15 +328,14 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
     damped point P = (1 - damping) x + damping T(x) less sum_i gamma_i dP_i,
     gamma the least-squares fit of the defect F = T(x) - x by its last
     ``_MEMORY`` differences dF_i (type II, Walker & Ni), kept with those of P
-    in (m, 2n) ring buffers; a pair (formed from halves if it overflows) whose dF
-    passes 2^500, and F past 2^500 in the right-hand side, are scaled by a power
-    of two, so no Gram entry or right-hand side overflows: one ``apply_T`` call,
-    and one matmul each for the new Gram row, the right-hand side and the mixing.
-    It stops when ||F||_inf <= ``tol`` (finite, > 0), or <= 8 ulps of
-    ||T(x)||_inf where that is larger, and returns that iterate with ||F||_inf
-    as residual_sup. A mixed point that leaves the double range, or where f1,
-    f2 or T faults, is replaced by P; a fault elsewhere is raised (an overflow
-    as a ValueError naming the step). ``max_iter`` steps give converged=False.
+    in (m, 2n) ring buffers: one ``apply_T`` call, and one matmul each for the
+    new Gram row, the right-hand side and the mixing. It stops when ||F||_inf <=
+    ``tol`` (finite, > 0), or <= 8 ulps of ||T(x)||_inf where that is larger,
+    and returns that iterate with ||F||_inf as residual_sup. A mixed point where
+    f1, f2 or T faults, or ||T(x)||_inf or ||F||_inf passes RANGE (so |dF| <= 2
+    RANGE, and no Gram entry overflows below 2^61 nodes), is replaced by P; elsewhere
+    a fault of f1 or f2 is raised, the others as a ValueError naming the step.
+    ``max_iter`` steps give converged=False.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping!r}")
@@ -351,22 +350,24 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
         raise ValueError(f"init shapes {u.shape}, {v.shape} do not match the grid "
                          f"({grid.nodes.shape})")
     x = np.concatenate((u, v))
-    dF, dP = ring = np.zeros((2, _MEMORY, 2 * n))
+    dF, dP = np.zeros((2, _MEMORY, 2 * n))
     order, gram = [], []  # the ring slots in use, newest first, and their Gram matrix
     iterations, P = 0, None
     while True:
         try:
             Tx = np.concatenate(apply_T(grid, f1, f2, x[:n], x[n:]))
             F = Tx - x
+            top, residual = float(abs(Tx).max()), float(abs(F).max())
+            if max(top, residual) > RANGE:
+                raise FloatingPointError
         except (EvalError, FloatingPointError) as exc:
             if x is not P and P is not None:
                 x = P  # the mixed point left f's domain or T's range; P lies between x and T(x)
                 continue
             if isinstance(exc, EvalError):
                 raise
-            raise ValueError(f"T(x) - x overflows at iteration {iterations}") from None
-        residual = float(abs(F).max())
-        applied = max(tol, 8.0 * float(np.spacing(abs(Tx).max())))
+            raise ValueError(f"T(x) or T(x) - x passes 2^480 at iteration {iterations}") from None
+        applied = max(tol, 8.0 * float(np.spacing(top)))
         converged = residual <= applied
         if converged or iterations >= max_iter:
             return GridSolution(grid=grid, u_values=x[:n], v_values=x[n:],
@@ -375,18 +376,9 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
         x = P = F * (damping - 1.0) + Tx  # (1 - damping) x + damping T(x)
         if iterations:
             j = iterations % _MEMORY
-            try:
-                np.subtract(F, F_last, out=dF[j])
-                np.subtract(P, P_last, out=dP[j])
-            except FloatingPointError:  # halves are exact, and the 2^500 rule scales them
-                np.subtract(F / 2.0, F_last / 2.0, out=dF[j])
-                np.subtract(P / 2.0, P_last / 2.0, out=dP[j])
-            big = float(abs(dF[j]).max())
-            if big > 2.0 ** 500:  # exact; gamma_j scales back, so gamma_j dP_j is unchanged
-                ring[:, j] *= 2.0 ** -math.frexp(big)[1]
-            # F enters the right-hand side scaled in the same way, and gamma with it
-            e = math.frexp(residual)[1] if residual > 2.0 ** 500 else 0
-            row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, np.ldexp(F, -e) if e else F).tolist()
+            np.subtract(F, F_last, out=dF[j])
+            np.subtract(P, P_last, out=dP[j])
+            row, rhs = np.dot(dF, dF[j]).tolist(), np.dot(dF, F).tolist()
             order = [j] + order[:_MEMORY - 1]
             gram = [[row[a] for a in order]] + [[row[a]] + r[:len(order) - 1]
                                                 for a, r in zip(order[1:], gram)]
@@ -396,7 +388,7 @@ def solve_picard(grid: SystemGrid, f1: Expr, f2: Expr,
                 try:
                     x = np.matmul([gamma[order.index(a)] if a in order else 0.0
                                    for a in range(_MEMORY)], dP)  # a ufunc: flags overflow
-                    np.subtract(P, np.ldexp(x, e) if e else x, out=x)
+                    np.subtract(P, x, out=x)
                 except FloatingPointError:
                     x = P  # the mixed point left the double range
         F_last, P_last = F, P

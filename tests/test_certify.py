@@ -65,24 +65,35 @@ class TestBox3:
     def test_valid(self):
         box = Box3((0.0, 1.0), (-2.0, 3.0), (0.0, 0.0))
         assert box.u_range == (-2.0, 3.0)
+        # the ends of the box range are admitted
+        Box3((2.0 ** -480, 1.0), (-(2.0 ** 961), 2.0 ** 961), (-0.0, 2.0 ** -480))
 
     @pytest.mark.parametrize(
-        "t, u, v",
+        "t, u, v, message",
         [
-            ((-0.1, 1.0), (0.0, 1.0), (0.0, 1.0)),
-            ((0.0, 1.1), (0.0, 1.0), (0.0, 1.0)),
-            ((0.0, 1.0), (1.0, -1.0), (0.0, 1.0)),
-            ((0.0, 1.0), (0.0, 1.0), (0.0, math.nan)),
+            ((-0.1, 1.0), (0.0, 1.0), (0.0, 1.0), "box t_range (-0.1, 1.0) must lie within [0, 1]"),
+            ((0.0, 1.1), (0.0, 1.0), (0.0, 1.0), "box t_range (0.0, 1.1) must lie within [0, 1]"),
+            ((0.0, 1.0), (1.0, -1.0), (0.0, 1.0), "box u_range = (1.0, -1.0) is not"),
+            ((0.0, 1.0), (0.0, 1.0), (0.0, math.nan), "box v_range = (0.0, nan) is not"),
+            # both ends are finite, but hi - lo is not
+            ((0.0, 1.0), (-1e308, 1e308), (-1.0, 1.0), "box u_range = (-1e+308, 1e+308) is not"),
+            # a subnormal width, where linspace divides before it scales
+            ((0.0, 5e-324), (0.0, 1.0), (0.0, 1.0), "box t_range = (0.0, 5e-324) is not"),
+            # 3 * (max/3) rounds past the largest double
+            ((0.0, 1.0), (0.0, 1.0), (0.0, 1.7976931348623157e308),
+             "box v_range = (0.0, 1.7976931348623157e+308) is not"),
+            ((0.0, 1.0), (-1.0, 2.0 ** 962), (0.0, 1.0),
+             f"box u_range = (-1.0, {2.0 ** 962!r}) is not"),
         ],
+        ids=["t-below", "t-above", "unordered", "nan", "width-overflows", "subnormal",
+             "largest-double", "past-the-range"],
     )
-    def test_invalid(self, t, u, v):
-        with pytest.raises(ValueError):
+    def test_invalid(self, t, u, v, message):
+        with pytest.raises(ValueError) as info:
             Box3(t, u, v)
-
-    def test_overflowing_width_named(self):
-        # both ends are finite, but hi - lo is not: no axis could be built
-        with pytest.raises(ValueError, match=r"u_range = \(-1e\+308, 1e\+308\) is too wide"):
-            Box3((0.0, 1.0), (-1e308, 1e308), (-1.0, 1.0))
+        if message.endswith("is not"):
+            message += " an ordered pair of ends 0 or of magnitude in [2^-480, 2^961]"
+        assert str(info.value) == message
 
 
 class TestBoxExtremum:
@@ -166,34 +177,23 @@ class TestBoxExtremum:
         assert est.value == pytest.approx(a + abs(b) + abs(c), rel=1e-12, abs=1e-12)
 
 
-_TINY = 5e-324  # the smallest subnormal
-_subnormals = st.integers(1, 4096).map(lambda k: k * _TINY)
+# an end of a box: 0, or of magnitude in [2^-480, 2^961]
+_box_ends = st.just(0.0) | st.floats(2.0 ** -480, 2.0 ** 961) | st.floats(-(2.0 ** 961),
+                                                                           -(2.0 ** -480))
 
 
 class TestAxis:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.floats(-1e300, 1e300), _subnormals, _subnormals.map(lambda x: -x)),
-           st.one_of(st.floats(_TINY, 1e300), _subnormals), st.integers(3, 65))
-    def test_matches_linspace(self, lo, width, grid):
-        hi = lo + width
+    @given(_box_ends, _box_ends, st.integers(3, 65))
+    @example(-(2.0 ** 961), 2.0 ** 961, 4)
+    @example(2.0 ** -480, math.nextafter(2.0 ** -480, 1.0), 65)
+    def test_matches_linspace(self, lo, hi, grid):
         assume(hi > lo)
-        assert np.array_equal(certify._axis(lo, hi, grid), np.linspace(lo, hi, grid))
+        with np.errstate(all="raise", under="ignore"):
+            assert np.array_equal(certify._axis(lo, hi, grid), np.linspace(lo, hi, grid))
 
-    def test_step_underflow(self):
-        # (hi - lo)/32 rounds to 0, where linspace divides before scaling
-        assert np.array_equal(certify._axis(0.0, _TINY, 33), np.linspace(0.0, _TINY, 33))
+    def test_one_point(self):
         assert np.array_equal(certify._axis(0.5, 0.5, 33), [0.5])
-
-    @pytest.mark.parametrize("grid", [4, 41])
-    def test_width_near_the_largest_double(self, grid):
-        # 3 * (max/3) rounds past the largest double: linspace overflows there, then
-        # overwrites that point with hi; the axis computes no such point
-        hi = np.finfo(float).max
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want = np.linspace(0.0, hi, grid)
-        with np.errstate(all="raise"):
-            assert np.array_equal(certify._axis(0.0, hi, grid), want)
 
 
 def meshgrid_scan(fn, axes, sign):
@@ -588,45 +588,37 @@ class TestIndexConditions:
         assert res.box.u_range[0] == 0.0
         assert res.holds
 
-    @pytest.mark.parametrize("check, message", [
-        (lambda p: check_I0(p, 1e306, 1e306),
-         "condition I0 for equation 1 at rho = (1e+306, 1e+306): rho_2/c_2 overflows"),
-        (lambda p: check_I0(p, 1e307, 1.0),
-         "condition I0 for equation 1 at rho = (1e+307, 1.0): rho_1/c_1 overflows"),
-        (lambda p: check_I0_star(p, 1.0, 1e306, 2),
-         "condition I0star for equation 2 at rho = (1.0, 1e+306): rho_2/c_2 overflows"),
-        (lambda p: search_certificate(p, "S2", 1.0, 1e306, 3),
-         "condition I0 for equation 1 at rho = (1e+306, 1e+306): rho_2/c_2 overflows"),
-    ], ids=["I0-other", "I0-own", "I0star", "search"])
-    def test_I0_box_overflow_named(self, make_problem, check, message):
-        # c_1 = 0.0183 and c_2 = 0.00257, so rho_j/c_j passes 1.8e308 first for j = 2;
-        # the box the user never wrote, (-inf, inf), is not what the error names
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as info:
-                check(make_problem("0", "0"))
-        assert str(info.value) == message
+    @pytest.mark.parametrize("check, rho", [
+        (lambda p: check_I0(p, 1e306, 1e306), (1e306, 1e306)),
+        (lambda p: check_I0(p, 1e307, 1.0), (1e307, 1.0)),
+        (lambda p: check_I0_star(p, 1.0, 1e306, 2), (1.0, 1e306)),
+        (lambda p: search_certificate(p, "S2", 1.0, 1e306, 3), (1.0, 1e306)),
+        (lambda p: check_I1(p, 1e308, 1.0), (1e308, 1.0)),
+        (lambda p: check_I0(p, 1.0, 3e305), (1.0, 3e305)),
+        (lambda p: check_I0_star(p, 2e306, 1.0, 2), (2e306, 1.0)),
+        (lambda p: check_pattern(p, "S1", [(2e306, 1.0), (1.5e308, 1000.0)]), (2e306, 1.0)),
+        (lambda p: check_I1(p, 5e-324, 1.0), (5e-324, 1.0)),
+        (lambda p: check_I1(p, 1.0, 2.0 ** 481), (1.0, 2.0 ** 481)),
+        (lambda p: search_certificate(p, "S2", 2.0 ** -481, 1.0, 3), (2.0 ** -481, 1.0)),
+    ], ids=["I0-other", "I0-own", "I0star", "search", "I1", "I0", "I0star-width",
+            "starred-fallback", "subnormal", "past-the-top", "search-below"])
+    def test_radius_out_of_range_named(self, make_problem, check, rho):
+        # a radius past the range is rejected before any box is built from it, so
+        # no rho_j/c_j and no box width overflows
+        with pytest.raises(ValueError) as info:
+            check(make_problem("0", "0"))
+        assert str(info.value) == ("radii must be positive, of magnitude in [2^-480, 2^480], "
+                                   f"got {rho!r}")
 
-    @pytest.mark.parametrize("check, message", [
-        (lambda p: check_I1(p, 1e308, 1.0),
-         "condition I1 for equation 1 at rho = (1e+308, 1.0): the box width 2*rho_1 overflows"),
-        (lambda p: check_I0(p, 1.0, 3e305),
-         "condition I0 for equation 1 at rho = (1.0, 3e+305): the box width 2*rho_2/c_2 overflows"),
-        (lambda p: check_I0_star(p, 2e306, 1.0, 2),
-         "condition I0star for equation 2 at rho = (2e+306, 1.0): the box width 2*rho_1/c_1 "
-         "overflows"),
-        (lambda p: check_pattern(p, "S1", [(2e306, 1.0), (1.5e308, 1000.0)]),
-         "condition I0star for equation 2 at rho = (2e+306, 1.0): the box width 2*rho_1/c_1 "
-         "overflows"),
-    ], ids=["I1", "I0", "I0star", "starred-fallback"])
-    def test_box_width_overflow_named(self, make_problem, check, message):
-        # rho_j or rho_j/c_j is finite, but the width of (-rho_j, rho_j) or
-        # (-rho_j/c_j, rho_j/c_j) is not; the error names the condition, not a box
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as info:
-                check(make_problem("0", "0"))
-        assert str(info.value) == message
+    @pytest.mark.parametrize("check", [
+        lambda p: check_I0(p, 2.0 ** 480, 2.0 ** 480),
+        lambda p: check_I1(p, 2.0 ** -480, 2.0 ** 480),
+        lambda p: check_I0_star(p, 2.0 ** 480, 2.0 ** -480, 1),
+        lambda p: search_certificate(p, "S2", 2.0 ** 479, 2.0 ** 480, 7),
+    ], ids=["I0", "I1", "I0star", "search"])
+    def test_radius_at_the_range_ends_builds_its_box(self, make_problem, check):
+        # rho/c <= 2^960 with c >= 2^-480: every box end and width is finite
+        check(make_problem("0", "0"))
 
     def test_I0_star_identity_fails(self, make_problem):
         # f(u) = u vanishes at the bottom of the starred range [0, rho/c]
@@ -764,11 +756,17 @@ class TestPattern:
         with pytest.raises(ValueError):
             check_pattern(base_problem, "S1", [1.0, 2.0, 3.0])
 
-    def test_overflowing_ratio_raises(self, make_problem):
-        # 1e300 / 1e-10 is inf on Python floats; no certificate may hold it
+    @pytest.mark.parametrize("ladder, message", [
+        # 1e300 / 2^-480 is inf on Python floats; no certificate may hold it
+        ([2.0 ** -480, 1.0], "condition I0 for equation 1: f1/rho_1 overflows"),
+        ([1e-10, 1e300], "radii must be positive, of magnitude in [2^-480, 2^480], "
+                         "got (1e+300, 1e+300)"),
+    ], ids=["f-overflows", "radius-out-of-range"])
+    def test_overflowing_ratio_raises(self, make_problem, ladder, message):
         problem = make_problem("1e300", "1e300")
-        with pytest.raises(ValueError, match=r"^condition I0 for equation 1: f1/rho_1 overflows$"):
-            check_pattern(problem, "S1", [1e-10, 1e300])
+        with pytest.raises(ValueError) as info:
+            check_pattern(problem, "S1", ladder)
+        assert str(info.value) == message
 
     def test_certificate_rejects_failed_condition(self):
         est = ExtremumEstimate(kind="sup", value=5.0, location=(0.0, 0.0, 0.0),
@@ -984,23 +982,21 @@ class TestNonexistence:
         with pytest.raises(ValueError):
             check_nonexistence(problem, 1, self.BOX, n=2)
 
-    _ends = st.floats(allow_nan=False, allow_infinity=False)
-    _ranges = st.tuples(_ends, _ends).map(lambda r: tuple(sorted(r))).filter(
-        lambda r: math.isfinite(r[1] - r[0]) and max(abs(r[0]), abs(r[1])) > 0.0)
+    _ranges = st.tuples(_box_ends, _box_ends).map(lambda r: tuple(sorted(r))).filter(
+        lambda r: max(abs(r[0]), abs(r[1])) > 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(_ranges, _ranges, st.integers(3, 9))
-    @example((0.0, 1e-320), (-1.0, 1.0), 41)  # a subnormal scale: 1e-6 * scale is 0
-    @example((-1e-6, 1e-6), (5e-324, 5e-324), 3)
-    @example((0.0, 1.0), (0.0, 1.7976931348623157e308), 4)  # linspace's last step overflows
+    @example((0.0, 2.0 ** -480), (-1.0, 1.0), 41)  # the smallest scale: eps = 1e-6 * 2^-480
+    @example((-1e-6, 1e-6), (2.0 ** -480, 2.0 ** -480), 3)
+    @example((0.0, 1.0), (-(2.0 ** 961), 2.0 ** 961), 4)  # the widest box
     def test_NE1_never_short_of_samples(self, make_problem, u, v, n):
         # linspace keeps both ends, and one of them has |w_i| = scale, past the slab;
         # a one-point range is one sample
         cert = check_nonexistence(make_problem("0", "0"), 1, Box3((0.0, 1.0), u, v), n)
         for cond, own, other in zip(cert.conditions, (u, v), (v, u)):
-            eps = max(certify.NE_EXCLUSION * max(abs(own[0]), abs(own[1])), math.ulp(0.0))
-            with np.errstate(over="ignore"):  # linspace's last step may overflow
-                kept = int(np.count_nonzero(np.abs(np.linspace(*own, n)) >= eps))
+            eps = certify.NE_EXCLUSION * max(abs(own[0]), abs(own[1]))
+            kept = int(np.count_nonzero(np.abs(np.linspace(*own, n)) >= eps))
             kept = kept if own[1] > own[0] else 1
             assert kept >= 1
             assert cond.estimate.samples == n * kept * (n if other[1] > other[0] else 1)
@@ -1028,7 +1024,7 @@ class TestNonexistence:
                 assert repr(res.estimate) == repr(plane)  # the signs of zeros too
                 continue
             lo, hi = ranges[i]
-            eps = max(certify.NE_EXCLUSION * max(abs(lo), abs(hi)), math.ulp(0.0))
+            eps = certify.NE_EXCLUSION * max(abs(lo), abs(hi))
             if kind == "NE1":
                 own = np.count_nonzero(np.abs(np.linspace(lo, hi, n)) >= eps) if hi > lo else 1
             else:

@@ -1,5 +1,6 @@
 """Config loading, deterministic report emission and the four subcommands."""
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -15,9 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraccert
 from conftest import CONFIG_DIR
+from fraccert import cli
 from fraccert.certify import Box3, ConditionFailed, check_nonexistence
 from fraccert.cli import (
     SchemaError,
@@ -28,7 +32,7 @@ from fraccert.cli import (
     main,
 )
 from fraccert.exprlang import MAX_DEPTH
-from fraccert.kernel import kernel_values
+from fraccert.kernel import RANGE, in_range, kernel_values
 from fraccert.solver import build_grid
 from test_exprlang import NESTED_SHAPES, nested
 
@@ -492,7 +496,7 @@ class TestCertifyCommand:
          "condition NE1 for equation 1: growth ratio f1/|u| overflows"),
         (["--pattern", "NE2", "--box=0.000000001,0.001,0.000000001,0.001"],
          "condition NE2 for equation 1: growth ratio f1/|u| overflows"),
-        (["--pattern", "S1", "--ladder", "1e-10,1e300"],
+        (["--pattern", "S1", "--ladder", "1e-10,1e100"],
          "condition I0 for equation 1: f1/rho_1 overflows"),
     ], ids=["NE1", "NE2", "S1"])
     def test_overflowing_ratio_exit_1(self, tmp_path, capsys, argv, err):
@@ -527,57 +531,31 @@ class TestCertifyCommand:
                                 "lhs 17.1292 vs threshold 1.37052\n")
         assert "DivisionByZero" not in captured.err
 
-    def test_overflowing_box_width_exit_1(self, capsys):
-        # both u ends are finite, but u_hi - u_lo is not
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["certify", "--config", REF, "--pattern", "NE1", "--box=-1e308,1e308,-1,1"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err == ("error: ValueError: box u_range = (-1e+308, 1e+308) "
-                                "is too wide: hi - lo overflows\n")
-
-    @pytest.mark.parametrize("flag", [["--ladder", "1,1e306"], ["--search", "1:1e306:3"]],
-                             ids=["ladder", "search"])
-    def test_overflowing_I0_box_exit_1(self, tmp_path, capsys, flag):
-        # 1e306/c_2 overflows: the error names the condition and the radii, not the
-        # box (-inf, inf) that nobody wrote
-        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="0", f2="0"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["certify", "--config", cfg, "--pattern", "S2", *flag])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == ("error: ValueError: condition I0 for equation 1 at "
-                                "rho = (1e+306, 1e+306): rho_2/c_2 overflows\n")
-
-    @pytest.mark.parametrize("pattern, ladder, err", [
-        ("S2", "1e308,1.5e308", "condition I1 for equation 1 at rho = (1e+308, 1e+308): "
-                                "the box width 2*rho_1 overflows"),
-        ("S1", "2e306,1,1.5e308,1000", "condition I0star for equation 2 at rho = (2e+306, 1.0): "
-                                       "the box width 2*rho_1/c_1 overflows"),
-    ], ids=["I1", "I0star"])
-    def test_overflowing_box_width_named_exit_1(self, tmp_path, capsys, pattern, ladder, err):
-        # rho_1 (or rho_1/c_1) is finite but twice it is not: the error names the
-        # condition and the radii, not a box the user never wrote
-        cfg = write_config(tmp_path, lambda c: c["nonlinearities"].update(f1="0", f2="0"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["certify", "--config", cfg, "--pattern", pattern, "--ladder", ladder])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == f"error: ValueError: {err}\n"
-
     @pytest.mark.parametrize("argv, err", [
         (["NE1", "--box=a,1,2,3"], "--box: could not convert string to float: 'a'"),
         (["S1", "--search", "1:x:3"], "--search: could not convert string to float: 'x'"),
         (["S1", "--search", "1:10:2.5"],
          "--search: invalid literal for int() with base 10: '2.5'"),
         (["S1", "--ladder", "a,b"], "--ladder: could not convert string to float: 'a'"),
-    ], ids=["box", "search-float", "search-int", "ladder"])
-    def test_unparsable_flag_is_named_exit_1(self, capsys, argv, err):
+        # numbers past the one input range: 0, or magnitude in [2^-480, 2^480]
+        (["NE1", "--box=-1e308,1e308,-1,1"], "--box: -1e+308 is neither 0 nor of magnitude"),
+        (["NE1", "--box=0,5e-324,-1,1"], "--box: 5e-324 is neither 0 nor of magnitude"),
+        (["S1", "--ladder", "1e-10,1e300"], "--ladder: 1e+300 is neither 0 nor of magnitude"),
+        (["S2", "--ladder", "1,1e306"], "--ladder: 1e+306 is neither 0 nor of magnitude"),
+        (["S2", "--ladder", "1e308,1.5e308"], "--ladder: 1e+308 is neither 0 nor of magnitude"),
+        (["S1", "--ladder", "2e306,1,1.5e308,1000"],
+         "--ladder: 2e+306 is neither 0 nor of magnitude"),
+        (["S2", "--search", "1:1e306:3"], "--search: 1e+306 is neither 0 nor of magnitude"),
+        (["S1", "--search", "1:inf:3"], "--search: inf is neither 0 nor of magnitude"),
+        (["S1", "--search", "1e-300:1e300:5"], "--search: 1e-300 is neither 0 nor of magnitude"),
+        (["S1", "--search", "3:1.7976931348623157e308:3"],
+         "--search: 1.7976931348623157e+308 is neither 0 nor of magnitude"),
+    ], ids=["box", "search-float", "search-int", "ladder", "box-width", "box-subnormal",
+            "ladder-ratio", "ladder-I0", "ladder-I1", "ladder-I0star", "search-I0",
+            "search-inf", "search-ends", "search-top"])
+    def test_bad_flag_value_is_named_exit_1(self, capsys, argv, err):
+        if "magnitude" in err:
+            err += " in [2^-480, 2^480]"
         rc = main(["certify", "--config", REF, "--pattern", *argv])
         captured = capsys.readouterr()
         assert rc == 1
@@ -595,17 +573,6 @@ class TestCertifyCommand:
         rc = main(["certify", "--config", REF, "--pattern", "S1", "--search", "0.1:10"])
         assert rc == 1
         assert capsys.readouterr().err == "error: ValueError: --search expects lo:hi:points\n"
-
-    @pytest.mark.parametrize("search", ["1:inf:3", "1e-300:1e300:5",
-                                        "3:1.7976931348623157e308:3"])
-    def test_search_grid_must_be_finite(self, capsys, search):
-        # an infinite or overflowing grid point is named by lo and hi, not by a box
-        rc = main(["certify", "--config", REF, "--pattern", "S1", "--search", search])
-        lo, hi, points = search.split(":")
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: ValueError: need 0 < lo < hi and points >= 2 with the top grid point "
-            f"lo * (hi/lo) finite, got lo={float(lo)!r}, hi={float(hi)!r}, points={points}\n")
 
     def test_nonexistence_default_box(self, capsys):
         rc = main(["certify", "--config", NE_CFG, "--pattern", "NE1"])
@@ -801,11 +768,17 @@ class TestSolveCommand:
                    "--init", "const:0.7,0.9", "--out", str(out)])
         assert rc == 0
 
-    @pytest.mark.parametrize("init", ["garbage", "const:1", "file:/nonexistent.csv"])
+    @pytest.mark.parametrize("init", ["garbage", "const:1", "file:/nonexistent.csv", "short-row"])
     def test_bad_init_exit_1(self, tmp_path, init, capsys):
+        if init == "short-row":  # its missing v reads as None
+            short = tmp_path / "short.csv"
+            short.write_text("t,u,v\n0,1\n0.25,1,1\n0.5,1,1\n1,1,1\n", encoding="utf-8")
+            init = f"file:{short}"
         rc = main(["solve", "--config", REF, "--grid", "16", "--init", init,
                    "--out", str(tmp_path / "sol.csv")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unparsable_const_init_is_named_exit_1(self, tmp_path, capsys):
         rc = main(["solve", "--config", REF, "--grid", "16", "--init", "const:x,1",
@@ -814,10 +787,10 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             "error: ValueError: --init: could not convert string to float: 'x'\n")
 
-    @pytest.mark.parametrize("init", ["const:1e160,1e160", "const:1e300,-1e300"])
-    def test_huge_init_overflows_no_warning(self, tmp_path, capsys, init):
-        # differences near 1e160 are stored scaled by a power of two, so the Gram
-        # row stays finite, mixing stays on, and no RuntimeWarning is printed
+    @pytest.mark.parametrize("init", ["const:1e144,1e144", "const:3e144,-3e144"])
+    def test_huge_init_no_warning(self, tmp_path, capsys, init):
+        # differences up to 2 RANGE = 2^481 keep the Gram row finite, mixing
+        # stays on, and no RuntimeWarning is printed
         out = tmp_path / "sol.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -828,17 +801,27 @@ class TestSolveCommand:
         assert json.loads(captured.out)["converged"] is True
         assert "Warning" not in captured.err
 
-    @pytest.mark.parametrize("init", ["const:nan,0", "const:1e999,0", "const:0,-inf", "file"])
-    def test_non_finite_init_exit_1(self, tmp_path, init, capsys):
-        if init == "file":
-            bad = tmp_path / "nan.csv"
-            bad.write_text("t,u,v\n0,1,1\n0.25,1,1\n0.5,nan,1\n1,1,1\n", encoding="utf-8")
-            init = f"file:{bad}"
+    @pytest.mark.parametrize("init, value", [
+        ("const:nan,0", "nan"), ("const:1e999,0", "inf"), ("const:0,-inf", "-inf"),
+        ("const:1e160,1e160", "1e+160"), ("const:1e300,-1e300", "1e+300"),
+        ("const:1.7e308,-1.7e308", "1.7e+308"), ("const:0,-5e-324", "-5e-324"),
+        ("t,u,v\n0,1,1\n0.25,1,1\n0.5,nan,1\n1,1,1\n", "nan"),
+        # distinct t rows 5e-324 apart would underflow the interpolation denominators
+        ("t,u,v\n0,1,1\n5e-324,1,1\n1e-323,1,1\n1,1,1\n", "5e-324"),
+        ("t,u,v\n0,1,1\n0.25,1,1\n0.5,1,1e160\n1,1,1\n", "1e+160"),
+    ], ids=["nan", "inf", "-inf", "1e160", "1e300", "1.7e308", "subnormal", "file-nan",
+            "file-subnormal-t", "file-1e160"])
+    def test_init_out_of_range_exit_1(self, tmp_path, init, value, capsys):
+        flag = "--init"
+        if init.startswith("t,u,v"):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(init, encoding="utf-8")
+            init, flag = f"file:{bad}", f"--init file {bad}"
         out = tmp_path / "sol.csv"
         rc = main(["solve", "--config", REF, "--grid", "16", "--init", init, "--out", str(out)])
-        err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: ValueError: --init") and err.count("\n") == 1
+        assert capsys.readouterr().err == (f"error: ValueError: {flag}: {value} is neither 0 "
+                                           "nor of magnitude in [2^-480, 2^480]\n")
         assert not out.exists()
 
     def test_init_file_repeated_t_exit_1(self, tmp_path, capsys):
@@ -861,10 +844,11 @@ class TestSolveCommand:
         assert rc == 1
         assert "columns t,u,v" in capsys.readouterr().err
 
-    def test_init_file_subnormal_spacing_exit_1(self, tmp_path, capsys):
-        # distinct t rows 5e-324 apart underflow the interpolation denominators
+    def test_init_file_close_spacing_exit_1(self, tmp_path, capsys):
+        # distinct t rows 2^-470 apart underflow the interpolation denominators
         near = tmp_path / "near.csv"
-        near.write_text("t,u,v\n0,1,1\n5e-324,1,1\n1e-323,1,1\n1,1,1\n", encoding="utf-8")
+        near.write_text("t,u,v\n0,1,1\n1e-141,1,1\n2e-141,1,1\n3e-141,1,1\n1,1,1\n",
+                        encoding="utf-8")
         out = tmp_path / "sol.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -901,11 +885,13 @@ class TestSolveCommand:
     @pytest.mark.parametrize("equation, f, init", [
         ({"alpha": 1.0206346419407315, "beta": 0.4793025377737877, "eta": 0.9144134652258156,
           "b": 0.9144134652258157}, {"f1": "1.7e308"}, "const:0,0"),
-        (None, {"f1": "u", "f2": "u"}, "const:1.7e308,-1.7e308"),
-    ], ids=["W-f", "T-minus-x"])
+        (None, {"f1": "1e200"}, "const:0,0"),
+        (None, {"f1": "u", "f2": "u"}, "const:3e144,-3e144"),
+    ], ids=["W-f", "T", "T-minus-x"])
     def test_overflowing_defect_exit_1(self, tmp_path, capsys, equation, f, init):
-        # W f (1/m = 1.38 here) or T(x) - x passes the largest double: one named
-        # line, raised before any file is written, and no RuntimeWarning
+        # W f (1/m = 1.38 here) passes the largest double, or T(x) or T(x) - x
+        # passes 2^480: one named line, raised before any file is written, and
+        # no RuntimeWarning
         def mutate(c):
             c["nonlinearities"].update(f)
             if equation is not None:
@@ -919,7 +905,7 @@ class TestSolveCommand:
                        "--out", str(tmp_path / "out" / "sol.csv")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: ValueError: T(x) - x overflows at iteration 0\n")
+            "error: ValueError: T(x) or T(x) - x passes 2^480 at iteration 0\n")
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("n", [8, 801, 3201])
@@ -1090,6 +1076,20 @@ class TestDispatch:
         assert rc == 2
         assert peak_kb / 1024 < 180
 
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["certify", "--pattern", "S1", "--ladder", "0.02,10"],
+        ["solve", "--grid", "16"], ["kernel", "--which", "1", "--grid", "5"],
+    ], ids=["constants", "certify", "solve", "kernel"])
+    def test_missing_out_directory_named_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        monkeypatch.setattr(cli, "load_config", lambda path: pytest.fail("the work began"))
+        out = tmp_path / "a" / "x"
+        rc = main([command[0], "--config", REF, *command[1:], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: ValueError: --out {out}: its directory does not exist\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))
         assert main(["constants", "--config", cfg]) == 1
@@ -1122,3 +1122,60 @@ class TestDispatch:
             main(["--help"])
         assert info.value.code == 0
         assert "fraccert" in capsys.readouterr().out
+
+
+# magnitudes at the ends of the one input range, and just past them
+_range_edges = st.sampled_from([
+    0.0, 1.0 / RANGE, RANGE, math.nextafter(1.0 / RANGE, 0.0), math.nextafter(RANGE, math.inf),
+    5e-324, 1.7976931348623157e308,
+]) | st.floats(0.5 / RANGE, 2.0 / RANGE) | st.floats(0.5 * RANGE, 2.0 * RANGE)
+_range_values = st.tuples(_range_edges, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+class TestRangeGate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["ladder", "box", "search", "init", "b"]),
+           st.lists(_range_values, min_size=4, max_size=4))
+    def test_numbers_at_the_range_ends(self, tmp_path_factory, where, xs):
+        # a number past the range is one line naming its flag or JSON pointer;
+        # one inside it runs, or stops on one line: no warning, no traceback
+        folder = tmp_path_factory.mktemp("range")
+        used, flag = xs[:2], f"--{where}"
+        if where == "ladder":
+            argv = ["certify", "--config", REF, "--pattern", "S1",
+                    f"--ladder={xs[0]!r},{xs[1]!r}"]
+        elif where == "box":
+            used = xs
+            argv = ["certify", "--config", REF, "--pattern", "NE1",
+                    "--box=" + ",".join(map(repr, xs))]
+        elif where == "search":
+            used = sorted(xs[:2])
+            argv = ["certify", "--config", REF, "--pattern", "S2",
+                    f"--search={used[0]!r}:{used[1]!r}:3"]
+        elif where == "init":
+            argv = ["solve", "--config", REF, "--grid", "8", f"--init=const:{xs[0]!r},{xs[1]!r}",
+                    "--out", str(folder / "sol.csv")]
+        else:
+            used = xs[:1]
+            cfg = write_config(folder, lambda c: c["equations"][0].update(eta=0.0, b=xs[0]))
+            argv = ["constants", "--config", cfg]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        err = err.getvalue()
+        bad = [x for x in used if not in_range(x)]
+        if bad:
+            line = (f"config rejected:\n  /equations/0: b must be 0 or of magnitude in "
+                    f"[2^-480, 2^480], got {bad[0]!r}\n" if where == "b" else
+                    f"error: ValueError: {flag}: {bad[0]!r} is neither 0 nor of magnitude in "
+                    "[2^-480, 2^480]\n")
+            assert (rc, err) == (1, line)
+        elif rc == 1:
+            assert "overflow" not in err
+            assert (err.startswith("error: ") and err.count("\n") == 1
+                    or err.startswith("config rejected:\n  /equations/0: ")
+                    and err.count("\n") == 2)
+        else:
+            assert rc in (0, 2)

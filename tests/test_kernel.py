@@ -77,6 +77,11 @@ class TestParamValidation:
             (1.5, 0.2, 0.0, 0.0, IntervalChoiceViolated),
             (2.0, 0.04, 0.0, 0.0, IntervalChoiceViolated),
             (math.nan, 0.2, 0.75, 0.775, ParamError),
+            # past the one input range: a subnormal or a huge number
+            (1.5, 0.2, 0.0, 5e-324, ParamError),
+            (1.5, 1e-150, 0.75, 0.775, ParamError),
+            (1.5, 0.2, 5e-324, 0.775, ParamError),
+            (1.5, 2.0 ** 481, 0.75, 0.775, ParamError),
         ],
     )
     def test_rejections(self, alpha, beta, eta, b, err):
@@ -96,6 +101,12 @@ class TestParamValidation:
 
     def test_check_params_valid_is_empty(self):
         assert check_params(1.5, 0.2, 0.75, 0.775) == []
+
+    def test_range_named(self):
+        assert check_params(1.5, 0.2, 0.0, 5e-324) == [
+            (ParamError, "b must be 0 or of magnitude in [2^-480, 2^480], got 5e-324")]
+        # the range's ends are admitted
+        assert validate_params(1.5, 0.2, 0.0, 2.0 ** -480).b == 2.0 ** -480
 
     def test_default_interval_end_admissible(self):
         # 0.5 * Gamma(1.5) = 0.443 > (0.875 - 0.75)^0.5 = 0.354
@@ -188,11 +199,18 @@ class TestConeConstant:
         for p in (params1, params2):
             assert 0.0 < compute_c(p) <= 1.0
 
-    def test_out_of_range_raises(self):
+    @pytest.mark.parametrize("params, value, admissible", [
         # beta*Gamma(alpha) > 1 and b < eta: validate_params rejects this tuple,
         # compute_c takes it as given and names the value it reached
-        with pytest.raises(ParamError, match=r"^cone constant fell outside \(0, 1\]: -5\.319"):
-            compute_c(ProblemParams(1.5, 0.9, 0.5, 0.6))
+        ((1.5, 0.9, 0.5, 0.6), r"-5\.319", False),
+        # b one ulp below beta leaves c = 1.2e-156, below 2^-480
+        ((2.0, 1e-140, 0.0, 9.999999999999999e-141), r"1\.165", True),
+    ], ids=["negative", "below-the-range"])
+    def test_out_of_range_raises(self, params, value, admissible):
+        assert (check_params(*params) == []) == admissible
+        pattern = rf"^cone constant fell outside \[2\^-480, 1\]: {value}"
+        with pytest.raises(ParamError, match=pattern):
+            compute_c(ProblemParams(*params))
 
 
 class TestGamma:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraccert.exprlang import DivisionByZero, DomainError, EvalError, Overflow, parse
-from fraccert.kernel import (KernelModel, build_model, check_params, compute_c, kernel_values,
-                             validate_params)
+from fraccert.exprlang import DivisionByZero, DomainError, EvalError, parse
+from fraccert.kernel import (RANGE, KernelModel, build_model, check_params, compute_c,
+                             kernel_values, validate_params)
 from fraccert.solver import (
     _GAUSS_W,
     _GAUSS_X,
@@ -667,66 +667,91 @@ class TestAndersonMixing:
         with pytest.raises(DomainError):
             solve_picard(grid64, parse("sqrt(u + 0.3)*6"), parse("sqrt(v + 0.3)*6"))
 
-    @pytest.mark.parametrize("start, f, steps", [((1e160, 1e160), "10", 13),
-                                                 ((1e300, -1e300), "10", 200),
-                                                 ((1.7e308, 1.7e308), "10", 200),
-                                                 ((0.0, 0.0), "1.79e308", 2)],
-                             ids=["1e160", "1e300", "1.7e308", "f-1.79e308"])
-    def test_huge_states_keep_mixing(self, grid16, start, f, steps):
-        # differences above 2^500 are stored scaled by a power of two, so the Gram
-        # row stays finite; with mixing off these took 27 steps, and over 200 twice.
-        # F past 2^500 enters the right-hand side scaled the same way: with mixing
-        # off f = 1.79e308 took 5 steps
+    @pytest.mark.parametrize("start, f, steps", [((1e144, 1e144), "10", 4),
+                                                 ((3e144, -3e144), "10", 12),
+                                                 ((RANGE, RANGE), "10", 12),
+                                                 ((0.0, 0.0), "2e144", 2)],
+                             ids=["1e144", "3e144", "range", "f-2e144"])
+    def test_states_at_the_range_end_keep_mixing(self, grid16, start, f, steps):
+        # |dF| <= 2 RANGE, so no Gram entry overflows; with mixing off the
+        # first two took 27 steps and over 200
         init = np.array([np.full(16, x) for x in start])
         sol = solve_picard(grid16, parse(f), parse(f), init=init)
         assert sol.converged and sol.iterations <= steps
 
-    @pytest.mark.parametrize("n, f2, start", [
-        (33, "u", (-6.479676553933506e+307, 1.0675414686039499e+304)),
-        (8, "-0.5*u - 0.5*v", (7.178219860799414e+307, -2.7132167897778746e+303)),
-    ], ids=["grid-33", "grid-8"])
-    def test_overflowing_difference_pair_is_formed_from_halves(self, model1, model2, n, f2,
-                                                                start):
-        # F - F_last passes the largest double; the halves' difference does not
+    @pytest.mark.parametrize("n, f1, f2, start", [
+        (16, "10", "10", (1e160, 1e160)),
+        (16, "10", "10", (1e300, -1e300)),
+        (16, "10", "10", (1.7e308, 1.7e308)),
+        (16, "1.79e308", "1.79e308", (0.0, 0.0)),
+        (16, "1e145", "1e145", (0.0, 0.0)),
+        (33, "-0.99*u + 1e307", "u", (-6.479676553933506e+307, 1.0675414686039499e+304)),
+        (8, "-0.99*u + 1e307", "-0.5*u - 0.5*v",
+         (7.178219860799414e+307, -2.7132167897778746e+303)),
+        (16, "1.79e308", "u + v", (1.1973231148222246e+306, -1.2085320788320504e+301)),
+    ], ids=["1e160", "1e300", "1.7e308", "f-1.79e308", "f-1e145", "pair-33", "pair-8",
+            "mixed-past-double"])
+    def test_initial_state_past_the_range_named(self, model1, model2, n, f1, f2, start):
+        # T(x) or T(x) - x past RANGE at the initial state is one named error
         grid = build_grid((model1, model2), n)
         init = np.array([np.full(n, x) for x in start])
-        sol = solve_picard(grid, parse("-0.99*u + 1e307"), parse(f2), init=init, damping=1.0)
-        assert sol.converged
+        with pytest.raises(ValueError) as info:
+            solve_picard(grid, parse(f1), parse(f2), init=init, damping=1.0)
+        assert str(info.value) == "T(x) or T(x) - x passes 2^480 at iteration 0"
+
+    def test_state_past_the_range_at_a_mixed_point_takes_the_damped_step(self, model2):
+        # on this equation 1/m = 1.38, so T passes RANGE where f1 nears 2.3e144,
+        # near u = 0; mixing lands there 18 times, and the damped point replaces it
+        steep = build_model(validate_params(1.0206346419407315, 0.4793025377737877,
+                                            0.9144134652258156, 0.9144134652258157))
+        grid = build_grid((steep, model2), 8)
+        sol = solve_picard(grid, parse("4e144*exp(-abs(u))"), ZERO,
+                           init=(np.full(8, 100.0), np.zeros(8)), max_iter=20)
+        assert sol.iterations == 20 and math.isfinite(sol.residual_sup)
 
     def test_overflow_at_a_mixed_point_takes_the_damped_step(self, model2):
-        # on this equation 1/m = 1.38, so T overflows where f1 nears 1.5e308,
-        # at u = 0; mixing once lands there, and the damped point replaces it
+        # f1 itself nears 1.5e308 near u = 0, where W f overflows: mixing lands
+        # there 17 times, and the damped point replaces it
         steep = build_model(validate_params(1.0206346419407315, 0.4793025377737877,
                                             0.9144134652258156, 0.9144134652258157))
         grid = build_grid((steep, model2), 8)
         sol = solve_picard(grid, parse("1.5e308*exp(-abs(u))"), ZERO,
-                           init=(np.full(8, 10.0), np.zeros(8)), max_iter=20)
+                           init=(np.full(8, 400.0), np.zeros(8)), max_iter=20)
         assert sol.iterations == 20 and math.isfinite(sol.residual_sup)
 
-    def test_mixed_point_past_the_double_range_takes_the_damped_step(self, grid16):
-        # mixing extrapolates past the largest double three times; from the damped
-        # points the run goes on until u + v itself overflows, a fault of f2
-        init = (np.full(16, 1.1973231148222246e+306), np.full(16, -1.2085320788320504e+301))
-        with pytest.raises(Overflow, match="^addition overflowed"):
-            solve_picard(grid16, parse("1.79e308"), parse("u + v"), init=init, damping=0.3)
+    def test_mixed_point_past_the_double_range_takes_the_damped_step(self, grid16, monkeypatch):
+        # in the range only a gamma near the largest double overflows gamma dP;
+        # stubbed so, each mixed point overflows or passes RANGE, and every step
+        # is the damped one
+        monkeypatch.setattr("fraccert.solver._mixing_coefficients",
+                            lambda gram, rhs: [1e308] * len(rhs))
+        f1, f2 = parse("0.2*cos(u) + 0.1*v"), parse("0.3*sin(u + v) + 0.5")
+        init = np.full((2, 16), 1e6)
+        sol = solve_picard(grid16, f1, f2, init=init, max_iter=1000)
+        assert sol.converged
+        ref = damped_picard(grid16, f1, f2, init, 1e-14, 0.5)
+        assert np.max(np.abs(np.stack((sol.u_values, sol.v_values)) - ref)) <= sol.tol
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.sampled_from(["0", "10", "1.79e308", "-1.79e308", "u", "-u", "2*u",
-                                     "u + v", "0.5*u + 1e300", "-0.99*u + 1e307",
-                                     "0.3*v - 1e305", "-0.5*u - 0.5*v"]),
+    @given(st.lists(st.sampled_from(["0", "10", "3e144", "-3e144", "1e300", "u", "-u", "2*u",
+                                     "u + v", "0.5*u + 1e144", "-0.99*u + 3e144",
+                                     "0.3*v - 1e144", "-0.5*u - 0.5*v"]),
                     min_size=2, max_size=2),
-           st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(300.0, 308.25)),
+           st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-480.0, 480.0)),
                     min_size=2, max_size=2),
            st.sampled_from([8, 16, 33]), st.sampled_from([0.3, 0.5, 1.0]))
-    def test_huge_states_end_finite_or_named(self, model1, model2, fs, starts, n, damping):
-        # a run returns a finite defect, or stops on a named overflow: never on a
-        # non-finite state (tier-1 already fails on any RuntimeWarning)
+    def test_states_in_the_range_end_finite_or_named(self, model1, model2, fs, starts, n,
+                                                     damping):
+        # from any start in the range a run returns a finite defect, or stops on
+        # the named range error: never on a non-finite state (tier-1 already
+        # fails on any RuntimeWarning)
         grid = build_grid((model1, model2), n)
-        init = np.array([np.full(n, sign * 10.0 ** e) for sign, e in starts])
+        init = np.array([np.full(n, sign * 2.0 ** e) for sign, e in starts])
         try:
             sol = solve_picard(grid, parse(fs[0]), parse(fs[1]), init=init, damping=damping)
         except ValueError as exc:
-            assert re.fullmatch(r"T\(x\) - x overflows at iteration \d+", str(exc))
+            assert re.fullmatch(r"T\(x\) or T\(x\) - x passes 2\^480 at iteration \d+",
+                                str(exc))
         except EvalError:
             pass
         else:
