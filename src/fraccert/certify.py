@@ -115,16 +115,20 @@ class ExtremumEstimate:
 def _scan(fn, axes, sign: float) -> tuple[float, tuple[float, float, float]]:
     """Maximize sign * fn on the open grid of ``axes``; the first maximum wins ties.
 
-    ``fn`` gets the axes shaped (n,1,1), (1,n,1), (1,1,n) and may return
-    its value un-broadcast. The argmax runs on that small array: the full
-    grid is constant along its length-1 axes, so the full grid's first
-    (C-order) maximum has index 0 there.
+    ``fn`` gets the axes shaped (n,1,1), (1,n,1), (1,1,n) and returns its value
+    un-broadcast: 0-d (a constant) or 3-d, of length 1 along each axis it does
+    not read. The full grid is constant along those axes, so its first (C-order)
+    maximum has index 0 there, and the search runs on the small value: its first
+    max for a sup, its first min for an inf, which is then negated (+0.0 and
+    -0.0 tie in both, as in sign * fn).
     """
     t, u, v = axes
-    vals = fn(t.reshape(-1, 1, 1), u.reshape(1, -1, 1), v.reshape(1, 1, -1))
-    vals = sign * np.reshape(vals, (1,) * (3 - np.ndim(vals)) + np.shape(vals))
-    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx))
+    vals = fn(t[:, None, None], u[None, :, None], v[None, None, :])
+    k = int(vals.argmax() if sign > 0.0 else vals.argmin())
+    nu, nv = vals.shape[1:] or (1, 1)
+    rest, iv = divmod(k, nv)
+    it, iu = divmod(rest, nu)
+    return sign * vals.item(k), (t.item(it), u.item(iu), v.item(iv))
 
 
 def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
@@ -137,21 +141,30 @@ def _axis(lo: float, hi: float, grid: int) -> np.ndarray:
 
 
 def _axes(bounds, reads, grid: int) -> tuple[list[np.ndarray], list[int]]:
-    """The open grid over ``bounds`` (t, u, v) and the full grid's size along each axis.
+    """The open grid over ``bounds`` (t, u, v) and the full grid's size along each
+    axis, in one pass over the ranges.
 
     A variable in ``reads`` gets ``_axis``; an unread one is _axis's first point,
     0 * step + lo (so -0.0 becomes +0.0), where the full grid's first maximum
     lies. A one-point range is its point lo, -0.0 included, and counts once.
     """
-    axes = [_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0 if hi > lo else lo])
-            for (lo, hi), name in zip(bounds, "tuv")]
-    return axes, [grid if hi > lo else 1 for lo, hi in bounds]
+    axes, sizes = [], []
+    for (lo, hi), name in zip(bounds, "tuv"):
+        if hi > lo:
+            axes.append(_axis(lo, hi, grid) if name in reads else np.array([lo + 0.0]))
+            sizes.append(grid)
+        else:
+            axes.append(np.array([lo]))
+            sizes.append(1)
+    return axes, sizes
 
 
 def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
                   sign: float, until=None) -> ExtremumEstimate:
     """Maximize sign * expr over the box: coarse scan plus shrinking rescans.
 
+    Each round builds the axes the expression reads and the grid's sizes in
+    one pass over its ranges, in Python floats, then makes one ``_scan``.
     Rescans stop when every half-width is below 1e-15 or ``until(value)`` holds.
     Box3 checked the box once (ends in range), so the compiled code
     runs unchecked on its axes, in one errstate block for all rounds.
@@ -160,21 +173,19 @@ def _box_extremum(expr: Expr, box: Box3, grid: int, refine_rounds: int,
         raise ValueError(f"grid must be >= 3 points per axis, got {grid}")
     code, reads = _compiled(expr)
     ranges = (box.t_range, box.u_range, box.v_range)
-
-    def scan(bounds):
-        axes, sizes = _axes(bounds, reads, grid)
-        return *_scan(code, axes, sign), math.prod(sizes)
-
+    half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
     with np.errstate(all="raise", under="ignore"):
-        best, loc, total = scan(ranges)
-        half = [(hi - lo) / (grid - 1) if hi > lo else 0.0 for lo, hi in ranges]
+        axes, sizes = _axes(ranges, reads, grid)
+        best, loc = _scan(code, axes, sign)
+        total = math.prod(sizes)
         rounds = 0
         while rounds < refine_rounds and not (until and until(sign * best)):
-            if all(h < 1e-15 for h in half):
+            if max(half) < 1e-15:
                 break
-            val, where, n = scan([(max(lo, x - h), min(hi, x + h))
-                                  for (lo, hi), x, h in zip(ranges, loc, half)])
-            total += n
+            axes, sizes = _axes([(max(lo, x - h), min(hi, x + h))
+                                 for (lo, hi), x, h in zip(ranges, loc, half)], reads, grid)
+            val, where = _scan(code, axes, sign)
+            total += math.prod(sizes)
             rounds += 1
             if val > best:
                 best, loc = val, where
@@ -282,10 +293,15 @@ def _radii(rho) -> tuple[float, float]:
     return rho
 
 
-def _holds(problem: Problem, sup: bool, i: int, lhs: float) -> bool:
-    """A sup strictly below m_i or an inf strictly above M_i, past the margin."""
+def _passes(problem: Problem, sup: bool, i: int):
+    """The test an lhs of equation i must pass, its limit computed once:
+    a sup strictly below m_i or an inf strictly above M_i, past the margin."""
     margin = problem.options.margin
-    return lhs < problem.m_used(i) - margin if sup else lhs > problem.M_used(i) + margin
+    if sup:
+        limit = problem.m_used(i) - margin
+        return lambda lhs: lhs < limit
+    limit = problem.M_used(i) + margin
+    return lambda lhs: lhs > limit
 
 
 def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | None,
@@ -303,17 +319,17 @@ def _condition(problem: Problem, kind: str, i: int, rho: tuple[float, float] | N
     return ConditionResult(
         kind=kind, equation=i, rho=rho, box=box, lhs=lhs,
         threshold=problem.m_used(i) if sup else problem.M_used(i),
-        holds=_holds(problem, sup, i, lhs), conservative=problem.options.conservative,
+        holds=_passes(problem, sup, i)(lhs), conservative=problem.options.conservative,
         margin=problem.options.margin, estimate=est,
     )
 
 
 def _check_one(problem: Problem, kind: str, rho: tuple[float, float], i: int) -> ConditionResult:
     """One index condition (I1, I0 or I0star) of equation i at rho; refining stops once it fails."""
-    sup = kind == "I1"
-    box = _index_box(problem, kind, rho, i)
-    est = (box_sup if sup else box_inf)(
-        problem.f[i - 1], box, until=lambda value: not _holds(problem, sup, i, value / rho[i - 1]))
+    sup, r = kind == "I1", rho[i - 1]
+    box, passes = _index_box(problem, kind, rho, i), _passes(problem, sup, i)
+    est = (box_sup if sup else box_inf)(problem.f[i - 1], box,
+                                        until=lambda value: not passes(value / r))
     return _condition(problem, kind, i, rho, box, est)
 
 

@@ -15,6 +15,7 @@ non-convergence), 1 on any error (bad flags, bad config, bad ladder).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -213,13 +214,25 @@ def dumps_report(obj) -> str:
 
 
 def _write_atomic(path: str, parts) -> None:
-    """Write an iterable of strings to ``path`` through a temp file and a rename."""
+    """Write an iterable of strings to ``path`` through a temp file and a rename;
+    the temp file is removed if the write or the rename fails."""
     # plain strings: pathlib interns every name it parses, and a fresh name
     # per call makes the interpreter's interned-string table reallocate
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _sidecar(out: str) -> str:
+    """The JSON sidecar that ``solve`` writes beside its CSV."""
+    return os.path.splitext(out)[0] + ".json"
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
@@ -404,7 +417,7 @@ def _cmd_solve(args) -> int:
         "init": args.init,
         "cone": [asdict(rep) for rep in cones],
     }
-    _emit_json(sidecar, os.path.splitext(args.out)[0] + ".json")
+    _emit_json(sidecar, _sidecar(args.out))
     if not sol.converged:
         sys.stderr.write(
             f"not converged after {sol.iterations} iterations "
@@ -500,8 +513,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ValueError(f"--out {args.out}: its directory does not exist")
+        if args.out:
+            if not os.path.isdir(os.path.dirname(args.out) or "."):
+                raise ValueError(f"--out {args.out}: its directory does not exist")
+            if os.path.isdir(args.out):
+                raise ValueError(f"--out {args.out}: it is a directory")
+            if args.fn is _cmd_solve and os.path.isdir(_sidecar(args.out)):
+                raise ValueError(f"--out {args.out}: its sidecar {_sidecar(args.out)} "
+                                 "is a directory")
         return args.fn(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -168,9 +168,16 @@ class ConstantsReport:
 
 
 def compute_constants(model: KernelModel) -> ConstantsReport:
-    """Compute every threshold constant of one equation."""
+    """Compute every threshold constant of one equation.
+
+    The estimates are reported as min(m_hat, m) and max(M_hat, M), so the
+    conservative thresholds are never weaker than the tight ones. In exact
+    arithmetic that changes nothing; it settles rounding ties, such as
+    M_hat two ulps below M at eta = 0 and a tiny b, whose exact values differ
+    by about 1e-25 relative.
+    """
     m, t_star_m = compute_m(model)
     M, t_star_M = compute_M(model)
     m_hat, M_hat = compute_hat_constants(model)
-    return ConstantsReport(m=m, M=M, m_hat=m_hat, M_hat=M_hat,
+    return ConstantsReport(m=m, M=M, m_hat=min(m_hat, m), M_hat=max(M_hat, M),
                            t_star_m=t_star_m, t_star_M=t_star_M)

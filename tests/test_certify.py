@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _golden import EXTREMUM_CASES
 from fraccert import certify
@@ -203,6 +204,43 @@ def meshgrid_scan(fn, axes, sign):
     vals = sign * np.broadcast_to(fn(tg, ug, vg), tg.shape)
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     return float(vals[idx]), (float(tg[idx]), float(ug[idx]), float(vg[idx])), vals.size
+
+
+# few values, with +0.0 and -0.0: many ties, and zeros of either sign
+_tie_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def _scan_cases(draw):
+    """Axes of 1-5 points and an un-broadcast value over them: 0-d (a numpy
+    scalar or a 0-d array) or 3-d with any subset of the axes kept."""
+    axes = [np.array(draw(st.lists(_tie_values | st.floats(-9.0, 9.0), min_size=1,
+                                   max_size=5))) for _ in range(3)]
+    kept = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    if not any(kept):
+        value = draw(_tie_values)
+        return axes, draw(st.sampled_from([np.float64(value), np.asarray(value)]))
+    shape = tuple(axis.size if keep else 1 for axis, keep in zip(axes, kept))
+    return axes, draw(hnp.arrays(float, shape, elements=_tie_values))
+
+
+class TestScan:
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases(), st.sampled_from([1.0, -1.0]))
+    def test_matches_the_full_grid_argmax(self, case, sign):
+        axes, vals = case
+        full = tuple(axis.size for axis in axes)
+
+        def fn(t, u, v):
+            assert (t.shape, u.shape, v.shape) == ((full[0], 1, 1), (1, full[1], 1),
+                                                   (1, 1, full[2]))
+            return vals
+
+        ref = sign * np.broadcast_to(vals, full)
+        idx = np.unravel_index(np.argmax(ref), full)
+        want = (float(ref[idx]), tuple(float(axis[k]) for axis, k in zip(axes, idx)))
+        # repr tells -0.0 from +0.0, in the value and in the location
+        assert repr(certify._scan(fn, axes, sign)) == repr(want)
 
 
 def on_mesh(call):

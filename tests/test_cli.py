@@ -390,6 +390,18 @@ class TestConstantsCommand:
             [0, 0] if first is None else [1, 0])
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("b", [1e-30, 1e-50, 1e-80, 1e-140])
+    def test_tiny_b_hat_ties_M(self, tmp_path, capsys, b):
+        # at eta = 0 the exact M_hat exceeds M by about 1e-25 relative, less
+        # than one rounding: M_hat is reported as max(M_hat, M)
+        cfg = write_config(tmp_path, lambda c: c["equations"][0].update(eta=0.0, b=b))
+        assert main(["constants", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        eq = json.loads(captured.out)["equations"][0]
+        assert eq["m_hat"] <= eq["m"] and eq["M"] <= eq["M_hat"]
+        assert eq["M_hat"] == pytest.approx(eq["M"], rel=1e-12)
+
     def test_quadrature_option_rejected(self, tmp_path, capsys):
         # the removed key fails the run with exit 1 and its JSON pointer
         quad = write_config(tmp_path, lambda c: c["options"].update(
@@ -1076,19 +1088,41 @@ class TestDispatch:
         assert rc == 2
         assert peak_kb / 1024 < 180
 
-    @pytest.mark.parametrize("command", [
-        ["constants"], ["certify", "--pattern", "S1", "--ladder", "0.02,10"],
-        ["solve", "--grid", "16"], ["kernel", "--which", "1", "--grid", "5"],
-    ], ids=["constants", "certify", "solve", "kernel"])
+    _COMMANDS = {"constants": ["constants"],
+                 "certify": ["certify", "--pattern", "S1", "--ladder", "0.02,10"],
+                 "solve": ["solve", "--grid", "16"],
+                 "kernel": ["kernel", "--which", "1", "--grid", "5"]}
+
+    @pytest.mark.parametrize("command, out, dirs, problem", [
+        *[(name, "a/x", [], "its directory does not exist") for name in _COMMANDS],
+        *[(name, "outdir", ["outdir"], "it is a directory") for name in _COMMANDS],
+        ("solve", "x.csv", ["x.json"], "its sidecar {tmp}/x.json is a directory"),
+    ], ids=[*_COMMANDS, *[f"{name}-out-is-a-directory" for name in _COMMANDS],
+            "solve-sidecar-is-a-directory"])
     def test_missing_out_directory_named_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                         command):
+                                                         command, out, dirs, problem):
         monkeypatch.setattr(cli, "load_config", lambda path: pytest.fail("the work began"))
-        out = tmp_path / "a" / "x"
-        rc = main([command[0], "--config", REF, *command[1:], "--out", str(out)])
+        for name in dirs:
+            (tmp_path / name).mkdir()
+        out = tmp_path / out
+        name, *flags = self._COMMANDS[command]
+        rc = main([name, "--config", REF, *flags, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr() == (
-            "", f"error: ValueError: --out {out}: its directory does not exist\n")
-        assert list(tmp_path.iterdir()) == []
+            "", f"error: ValueError: --out {out}: {problem.format(tmp=tmp_path)}\n")
+        # no .tmp file, no CSV: only the directories made above, still empty
+        assert sorted(path.name for path in tmp_path.iterdir()) == dirs
+        assert all(not any((tmp_path / name).iterdir()) for name in dirs)
+
+    @pytest.mark.parametrize("target, parts, error", [
+        ("x.csv", ["t,u,v\n", None], TypeError),  # the write fails at its second part
+        ("outdir", ["t,u,v\n"], IsADirectoryError),  # the rename fails
+    ], ids=["write-fails", "rename-fails"])
+    def test_failed_write_leaves_no_tmp(self, tmp_path, target, parts, error):
+        (tmp_path / "outdir").mkdir()
+        with pytest.raises(error):
+            cli._write_atomic(str(tmp_path / target), parts)
+        assert [path.name for path in tmp_path.iterdir()] == ["outdir"]
 
     def test_config_errors_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda c: c["equations"][0].update(alpha=2.5))
